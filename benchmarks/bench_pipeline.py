@@ -1,12 +1,16 @@
 """Parallel pipeline — wall time and byte-identity vs the sequential pass.
 
-Not a paper table: this bench characterises ``run_analysis(jobs=N)``.
-Two claims are checked, one unconditionally:
+Not a paper table: this bench characterises ``run_analysis(jobs=N)``,
+which shards the ingest of both channels over a process pool and runs
+everything after it in the parent.  Two claims are checked, one
+unconditionally:
 
-* **identity** — the parallel run must reproduce the sequential run's
-  findings exactly (failures, matched pairs, coverage, flap episodes).
-  Any divergence fails the bench on any machine, including single-core
-  CI runners.
+* **identity** — the parallel run must reproduce the sequential run
+  exactly: the same ``analysis_signature`` (sanitised failures, matches,
+  coverage, flap episodes), the same drop-ledger JSON, and the same
+  timelines key order on both channels.  Both runs are lenient so each
+  produces a ledger to compare.  Any divergence fails the bench on any
+  machine, including single-core CI runners.
 * **speedup** — with ``--jobs 4`` on a host that actually has four
   cores, end-to-end wall time must be at least twice the sequential
   pass.  On hosts with fewer cores the ratio is still measured and
@@ -28,6 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import sys
 import time
 from pathlib import Path
@@ -38,6 +43,8 @@ if str(_ROOT / "src") not in sys.path:
 
 from _bench_utils import emit  # noqa: E402
 from repro import ScenarioConfig, run_analysis, run_scenario  # noqa: E402
+from repro.faults.chaos import analysis_signature  # noqa: E402
+from repro.faults.ledger import IngestReport  # noqa: E402
 
 SPEEDUP_FLOOR = 2.0
 CORES_REQUIRED = 4
@@ -51,17 +58,28 @@ def available_cores() -> int:
 
 
 def results_identical(sequential, parallel) -> bool:
-    """Finding-level identity between two analysis runs."""
+    """Byte-identity between two lenient analysis runs."""
     return (
-        parallel.syslog_failures == sequential.syslog_failures
-        and parallel.isis_failures == sequential.isis_failures
-        and parallel.failure_match.pairs == sequential.failure_match.pairs
-        and parallel.failure_match.only_a == sequential.failure_match.only_a
-        and parallel.failure_match.only_b == sequential.failure_match.only_b
-        and parallel.coverage.counts == sequential.coverage.counts
-        and parallel.flap_episodes == sequential.flap_episodes
-        and parallel.flap_intervals == sequential.flap_intervals
+        analysis_signature(parallel) == analysis_signature(sequential)
+        and parallel.ingest.to_json() == sequential.ingest.to_json()
+        and list(parallel.syslog.timelines) == list(sequential.syslog.timelines)
+        and list(parallel.isis.timelines) == list(sequential.isis.timelines)
     )
+
+
+def host_info() -> dict:
+    try:
+        import numpy
+
+        numpy_version = numpy.__version__
+    except ImportError:  # pragma: no cover - columnar falls back to scalar
+        numpy_version = None
+    return {
+        "platform": platform.platform(),
+        "python": platform.python_version(),
+        "numpy": numpy_version,
+        "cores": available_cores(),
+    }
 
 
 def build_dataset(seed: int, days: float, fleet_preset):
@@ -83,14 +101,17 @@ def run_bench(seed: int, days: float, jobs: int, fleet_preset=None) -> dict:
     dataset, fleet_spec = build_dataset(seed, days, fleet_preset)
 
     started = time.perf_counter()
-    sequential = run_analysis(dataset)
+    sequential = run_analysis(dataset, strict=False, report=IngestReport())
     sequential_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
-    parallel = run_analysis(dataset, jobs=jobs)
+    parallel = run_analysis(
+        dataset, strict=False, report=IngestReport(), jobs=jobs
+    )
     parallel_seconds = time.perf_counter() - started
 
-    cores = available_cores()
+    host = host_info()
+    cores = host["cores"]
     speedup = sequential_seconds / parallel_seconds
     return {
         "seed": seed,
@@ -104,7 +125,7 @@ def run_bench(seed: int, days: float, jobs: int, fleet_preset=None) -> dict:
         "corpus_lsp_records": len(dataset.lsp_records),
         "corpus_routers": len(dataset.network.routers),
         "jobs": jobs,
-        "cores": cores,
+        "host": host,
         "sequential_seconds": round(sequential_seconds, 3),
         "parallel_seconds": round(parallel_seconds, 3),
         "speedup": round(speedup, 3),
@@ -127,14 +148,16 @@ def render(result: dict) -> str:
         f"{result['corpus_lines']:,} syslog lines, "
         f"{result['corpus_lsp_records']:,} LSP records, "
         f"{result['corpus_routers']:,} routers",
-        f"  host cores      {result['cores']}",
+        f"  host            {result['host']['cores']} core(s), "
+        f"python {result['host']['python']}, "
+        f"numpy {result['host']['numpy']}",
         f"  sequential      {result['sequential_seconds']:.3f} s",
         f"  jobs={result['jobs']:<11} {result['parallel_seconds']:.3f} s",
         f"  speedup         {result['speedup']:.2f}x"
         + (
             ""
             if result["speedup_asserted"]
-            else f"  (not asserted: {result['cores']} core(s) available)"
+            else f"  (not asserted: {result['host']['cores']} core(s) available)"
         ),
         f"  identical       {result['identical']}",
         f"  findings        {result['isis_failures']} isis / "
@@ -181,7 +204,7 @@ def main(argv=None) -> int:
     if result["speedup_asserted"] and result["speedup"] < SPEEDUP_FLOOR:
         print(
             f"FAIL: speedup {result['speedup']:.2f}x below the "
-            f"{SPEEDUP_FLOOR:.1f}x floor on a {result['cores']}-core host",
+            f"{SPEEDUP_FLOOR:.1f}x floor on a {result['host']['cores']}-core host",
             file=sys.stderr,
         )
         return 1

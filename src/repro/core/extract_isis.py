@@ -160,8 +160,8 @@ def classify_changes(
 
     Returns ``(is_messages, ip_messages, multilink_skipped,
     unresolved_count)`` in change order.  Classification is per-change and
-    context-free, so the parallel pipeline can fan it over change ranges
-    and concatenate the results.
+    context-free; every batch mode runs it once, in the parent, over the
+    whole change list.
     """
     is_messages: List[LinkMessage] = []
     ip_messages: List[LinkMessage] = []
@@ -190,9 +190,10 @@ def extract_isis_from_changes(
 ) -> IsisExtraction:
     """The analysis half of the extraction, once a replay produced changes.
 
-    :func:`extract_isis` is ``replay_lsp_records`` followed by this; the
-    parallel pipeline instead produces the change stream via sharded
-    decoding plus a compact replay and joins back here.
+    :func:`extract_isis` is ``replay_lsp_records`` followed by this.
+    :func:`repro.core.pipeline.run_analysis` calls it on the changes of
+    either ingest path: the sequential replay, or the sharded decode
+    plus compact replay of ``jobs > 1``.
     """
     if config is None:
         config = IsisExtractionConfig()

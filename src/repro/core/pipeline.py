@@ -4,13 +4,17 @@
 
 1. parse the central syslog file; mine the config inventory into a
    :class:`~repro.core.links.LinkResolver`;
-2. replay the LSP archive through the listener; extract IS and IP
-   reachability transitions;
-3. reconstruct link state and failures from both channels;
-4. sanitise both failure sets (§4.2) — listener-outage removal for both,
+2. replay the LSP archive through the listener;
+3. extract link transitions from both channels (IS and IP reachability
+   for IS-IS);
+4. reconstruct link state and failures from both channels;
+5. sanitise both failure sets (§4.2) — listener-outage removal for both,
    ticket verification of >24 h failures for syslog;
-5. match transitions (Tables 2 and 3) and failures (Table 4, §4.3);
-6. detect flapping episodes (§4.1).
+6. match transitions (Tables 2 and 3) and failures (Table 4, §4.3);
+7. detect flapping episodes (§4.1).
+
+Steps 1–2 are the ingest, which ``jobs > 1`` shards across a process
+pool; steps 3–7 run once, here, whatever ``jobs`` is.
 
 The returned :class:`AnalysisResult` carries every intermediate product so
 the benches and examples can drill into any table without re-running the
@@ -23,7 +27,12 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.core.extract_isis import IsisExtraction, IsisExtractionConfig, extract_isis
+from repro.core.extract_isis import (
+    IsisExtraction,
+    IsisExtractionConfig,
+    extract_isis_from_changes,
+    replay_lsp_records,
+)
 from repro.core.extract_syslog import (
     SyslogExtraction,
     SyslogExtractionConfig,
@@ -112,13 +121,15 @@ def run_analysis(
     analysis completes on everything salvageable.  On clean inputs both
     modes produce byte-identical results.
 
-    ``jobs`` selects the execution engine: ``1`` (the default) runs this
-    sequential code path; ``jobs > 1`` dispatches to
-    :func:`repro.parallel.pipeline.run_parallel_analysis`, which shards
-    the work across a process pool and merges back results byte-identical
-    to the sequential run (the contract ``tests/test_parallel_pipeline.py``
-    enforces).  ``jobs=0`` resolves to the host's CPU count.  ``jobs``
-    never changes results, only wall-clock.
+    ``jobs`` selects how the inputs are ingested: ``1`` (the default)
+    parses and replays them in this process; ``jobs > 1`` shards both
+    channels' ingest across a process pool
+    (:func:`repro.parallel.pipeline.ingest_sharded`), whose entries,
+    changes and drop ledger are byte-identical to the sequential ones
+    (the contract ``tests/test_parallel_pipeline.py`` enforces).
+    Everything after ingest runs here, once, whatever ``jobs`` is.
+    ``jobs=0`` resolves to the host's CPU count.  ``jobs`` never changes
+    results, only wall-clock.
 
     ``ingest`` selects the syslog parse engine: ``"scalar"`` is the
     per-line reference parser, ``"columnar"`` the vectorised fast path of
@@ -132,13 +143,6 @@ def run_analysis(
         jobs = os.cpu_count() or 1
     if jobs < 0:
         raise ValueError("jobs must be non-negative")
-    if jobs > 1:
-        from repro.parallel.pipeline import run_parallel_analysis
-
-        return run_parallel_analysis(
-            dataset, options, strict=strict, report=report, jobs=jobs,
-            ingest=ingest,
-        )
     if options is None:
         options = AnalysisOptions()
     if not strict and report is None:
@@ -147,27 +151,37 @@ def run_analysis(
     horizon_start = dataset.analysis_start
     horizon_end = dataset.horizon_end
 
-    if ingest == "columnar":
-        from repro.columnar import parse_log_columnar
+    if jobs > 1:
+        from repro.parallel.pipeline import ingest_sharded
 
-        entries = parse_log_columnar(
-            dataset.syslog_text, strict=strict, report=report
+        entries, changes, rejected_lsps = ingest_sharded(
+            dataset, jobs=jobs, ingest=ingest, strict=strict, report=report
         )
     else:
-        entries = SyslogCollector.parse_log(
-            dataset.syslog_text, strict=strict, report=report
+        if ingest == "columnar":
+            from repro.columnar import parse_log_columnar
+
+            entries = parse_log_columnar(
+                dataset.syslog_text, strict=strict, report=report
+            )
+        else:
+            entries = SyslogCollector.parse_log(
+                dataset.syslog_text, strict=strict, report=report
+            )
+        listener, changes = replay_lsp_records(
+            dataset.lsp_records, strict=strict, report=report
         )
+        rejected_lsps = listener.rejected_count
     syslog = extract_syslog(
         entries, resolver, horizon_start, horizon_end, options.syslog
     )
-    isis = extract_isis(
-        dataset.lsp_records,
+    isis = extract_isis_from_changes(
+        changes,
+        rejected_lsps,
         resolver,
         horizon_start,
         horizon_end,
         options.isis,
-        strict=strict,
-        report=report,
     )
 
     syslog_sanitized = sanitize_failures(

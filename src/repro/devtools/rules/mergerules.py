@@ -1,10 +1,9 @@
-"""Merge-canonicality rules (M101–M103).
+"""Merge-canonicality rules (M102–M103).
 
-The parallel pipeline's identity contract (``jobs=N`` byte-equals
+The parallel ingest's identity contract (``jobs=N`` byte-equals
 ``jobs=1``) survives sharding only because every merge step is
-canonical: shard results are flattened and then **sorted by an
-explicit key** (M101), nothing iterates an unordered container across
-shard boundaries (M102), and ``merge_from``-style ledger folds are
+canonical: nothing iterates an unordered container across shard
+boundaries (M102), and ``merge_from``-style ledger folds are
 commutative by construction — the accumulator is only ever updated by
 operations whose result does not depend on merge order (M103, checked
 structurally over the fold body).  Each rule encodes one way a merge
@@ -15,7 +14,7 @@ test on a 1-core machine still passes.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Set, Tuple
+from typing import Iterator, Optional
 
 from repro.devtools.base import (
     Finding,
@@ -24,7 +23,6 @@ from repro.devtools.base import (
     Rule,
     SourceModule,
     call_name,
-    dotted_name,
     register,
 )
 from repro.devtools.flow.cfg import iter_scopes
@@ -45,107 +43,6 @@ MERGE_PACKAGES = ("parallel", "fleet", "faults", "service", "columnar")
 _ORDER_DEPENDENT_METHODS = frozenset(
     {"append", "appendleft", "extend", "insert"}
 )
-
-
-def _is_flatten(comp: ast.AST) -> bool:
-    """A list comprehension with two or more generators — the shard
-    flattening shape ``[x for shard in results for x in shard.items]``."""
-    return isinstance(comp, ast.ListComp) and len(comp.generators) >= 2
-
-
-def _sorted_with_key(call: ast.Call, imports: ImportMap) -> bool:
-    return call_name(call, imports) == "sorted" and any(
-        keyword.arg == "key" for keyword in call.keywords
-    )
-
-
-def _spelled(target: ast.expr) -> Optional[str]:
-    """The assignment-target spelling a later sort must match —
-    ``episodes`` or ``merged.pairs``."""
-    return dotted_name(target)
-
-
-@register
-class FlattenWithoutSortRule(Rule):
-    id = "M101"
-    name = "shard-flatten-without-canonical-sort"
-    rationale = (
-        "Flattening per-shard lists concatenates them in shard order; "
-        "unless the result is sorted by an explicit canonical key "
-        "before use, the merged order depends on how work was sharded "
-        "and jobs=N diverges from jobs=1."
-    )
-    scope = MERGE_PACKAGES
-
-    def check(
-        self, module: SourceModule, project: Project
-    ) -> Iterator[Finding]:
-        if module.tree is None:
-            return
-        imports = ImportMap.from_tree(module.tree)
-        for scope in iter_scopes(module.tree):
-            if not isinstance(
-                scope, (ast.FunctionDef, ast.AsyncFunctionDef)
-            ):
-                continue
-            yield from self._check_function(module, scope, imports)
-
-    def _check_function(
-        self,
-        module: SourceModule,
-        function: ast.AST,
-        imports: ImportMap,
-    ) -> Iterator[Finding]:
-        sanctioned = self._sort_targets(function, imports)
-        for node in ast.walk(function):
-            if isinstance(node, ast.Assign) and _is_flatten(node.value):
-                for target in node.targets:
-                    spelling = _spelled(target)
-                    if spelling is not None and spelling in sanctioned:
-                        break
-                else:
-                    yield module.finding(
-                        self.id,
-                        node,
-                        "shard flatten is never sorted by an explicit "
-                        "canonical key; the merged order is the shard "
-                        "order — call `.sort(key=...)` on the result or "
-                        "justify with a suppression",
-                    )
-            elif isinstance(node, ast.Return) and _is_flatten(node.value):
-                yield module.finding(
-                    self.id,
-                    node,
-                    "shard flatten is returned unsorted; wrap it in "
-                    "`sorted(..., key=...)` or justify why the shard "
-                    "order is already canonical",
-                )
-
-    @staticmethod
-    def _sort_targets(
-        function: ast.AST, imports: ImportMap
-    ) -> Set[str]:
-        """Spellings later passed through an explicit-key sort:
-        ``x.sort(key=...)`` receivers and ``x = sorted(x, key=...)``
-        rebinds."""
-        targets: Set[str] = set()
-        for node in ast.walk(function):
-            if not isinstance(node, ast.Call):
-                continue
-            if (
-                isinstance(node.func, ast.Attribute)
-                and node.func.attr == "sort"
-                and any(k.arg == "key" for k in node.keywords)
-            ):
-                spelling = dotted_name(node.func.value)
-                if spelling is not None:
-                    targets.add(spelling)
-            elif _sorted_with_key(node, imports) and node.args:
-                spelling = dotted_name(node.args[0])
-                if spelling is not None:
-                    targets.add(spelling)
-        return targets
-
 
 _DICT = frozenset({"dict"})
 

@@ -1,7 +1,10 @@
-"""Process-pool execution of the batch analysis pipeline.
+"""Process-pool ingest for the batch analysis pipeline.
 
-The paper's pipeline is embarrassingly parallel in three places, and this
-package exploits exactly those and nothing else:
+``run_analysis(dataset, jobs=N)`` with ``N > 1`` shards only the ingest
+of both channels; everything after it — classification, merge,
+timeline, failure, sanitise, match, coverage, flaps — runs once, in the
+parent, through the same code as ``jobs=1``.  Ingest is sharded in two
+places:
 
 1. **Syslog parsing** shards the log file into contiguous, line-aligned
    segments (:mod:`repro.parallel.sharding`).  The RFC 3164 year
@@ -14,28 +17,19 @@ package exploits exactly those and nothing else:
    context-free; only the listener replay is stateful, so workers return
    compact per-record tuples and the parent replays them through a
    listener-equivalent state machine.
-3. **Per-link reconstruction** (merge → timeline → failures → sanitise →
-   match → coverage → flaps) fans over a pool keyed by link and merges in
-   sorted-link order.
 
 The contract is byte-identity: ``run_analysis(dataset, jobs=N)`` returns
 results indistinguishable from ``jobs=1`` — same lists in the same order,
-same dict key order, same drop ledger, same floating-point sums (floats
-are summed in the sequential order during the merge, never per-shard).
-``docs/performance.md`` walks through the sharding model and the proof
-obligations; ``tests/test_parallel_pipeline.py`` enforces them.
+same dict key order, same drop ledger, and in strict mode the same
+exception.  ``docs/performance.md`` walks through the sharding model and
+the proof obligations; ``tests/test_parallel_pipeline.py`` enforces them.
 """
 
-from repro.parallel.pipeline import run_parallel_analysis
-from repro.parallel.sharding import (
-    chunk_links,
-    index_ranges,
-    segment_log_text,
-)
+from repro.parallel.pipeline import ingest_sharded
+from repro.parallel.sharding import index_ranges, segment_log_text
 
 __all__ = [
-    "run_parallel_analysis",
+    "ingest_sharded",
     "segment_log_text",
     "index_ranges",
-    "chunk_links",
 ]

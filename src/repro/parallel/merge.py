@@ -1,8 +1,8 @@
-"""Parent-side merging that makes sharded results byte-identical.
+"""Parent-side folds that make sharded ingest byte-identical.
 
 Each function here reassembles worker output into exactly what the
-sequential pipeline would have produced, and documents why the
-reassembly is exact.  Three kinds of argument recur:
+sequential ingest would have produced, and documents why the
+reassembly is exact.  Two arguments carry it:
 
 * **Context re-parse** (syslog): a segment parsed without its
   predecessors' year-resolution context is accepted only when that
@@ -14,37 +14,17 @@ reassembly is exact.  Three kinds of argument recur:
   stateful part — LSDB acceptance and reachability diffing — is replayed
   in the parent over the workers' compact records, through a state
   machine equivalent to :class:`repro.isis.listener.IsisListener`.
-* **Canonical-key stable sorts** (per-link results): every global list
-  the sequential pipeline produces is ordered by a canonical key —
-  ``(time, link)`` for transitions, ``(start, link)`` for failures and
-  episodes — with ties only between items of the *same* link, in
-  per-link processing order.  Concatenating per-link worker lists in any
-  link order and stable-sorting by the canonical key therefore
-  reproduces the sequential list exactly.  Float aggregates
-  (:class:`~repro.core.sanitize.SanitizationReport` downtime sums) are
-  properties computed over those lists, so merging the lists merges the
-  sums with zero floating-point reassociation.
 """
 
 from __future__ import annotations
 
-import struct
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.core.events import (
-    FailureEvent,
-    Transition,
-    failure_sort_key,
-    transition_sort_key,
-)
-from repro.core.matching import FailureMatchResult, TransitionCoverage
-from repro.core.sanitize import SanitizationReport
 from repro.faults.ledger import CHANNEL_ISIS, CHANNEL_SYSLOG, IngestReport
-from repro.intervals.timeline import LinkStateTimeline
 from repro.isis.listener import ReachabilityChange, ReachabilityKind
 from repro.isis.lsp import LinkStatePacket
 from repro.parallel.sharding import LogSegment
-from repro.parallel.workers import CompactLsp, LinkResult
+from repro.parallel.workers import CompactLsp
 from repro.syslog.collector import CollectedEntry, ParsedSegment, SyslogCollector
 from repro.util.timefmt import _YEAR_RESOLUTION_SLACK
 
@@ -231,106 +211,3 @@ def replay_compact_records(
                 )
             )
     return changes, rejected
-
-
-def merge_transitions(
-    per_link: Sequence[List[Transition]],
-) -> List[Transition]:
-    """Concatenate per-link transition lists into global transition order."""
-    merged = [transition for items in per_link for transition in items]
-    merged.sort(key=transition_sort_key)
-    return merged
-
-
-def merge_failures(
-    per_link: Sequence[List[FailureEvent]],
-) -> List[FailureEvent]:
-    """Concatenate per-link failure lists into global failure order."""
-    merged = [failure for items in per_link for failure in items]
-    merged.sort(key=failure_sort_key)
-    return merged
-
-
-def merge_sanitization(
-    reports: Sequence[SanitizationReport],
-) -> SanitizationReport:
-    """Fold per-link sanitisation reports into the global report.
-
-    The sequential pass appends each failure to its disposition list in
-    ``(start, link)`` input order, so every list merges by canonical-key
-    stable sort; the downtime-hour sums are properties over the lists.
-    """
-    merged = SanitizationReport()
-    merged.kept = merge_failures([r.kept for r in reports])
-    merged.removed_listener_overlap = merge_failures(
-        [r.removed_listener_overlap for r in reports]
-    )
-    merged.removed_unverified_long = merge_failures(
-        [r.removed_unverified_long for r in reports]
-    )
-    merged.verified_long = merge_failures([r.verified_long for r in reports])
-    return merged
-
-
-def merge_match_results(
-    results: Sequence[FailureMatchResult],
-) -> FailureMatchResult:
-    """Fold per-link match results into the global result.
-
-    Matching never crosses links, so the global greedy pass decomposes
-    exactly into the per-link passes; all five lists come back in the
-    sequential pass's ``(start, link)`` orders.
-    """
-    merged = FailureMatchResult()
-    merged.pairs = [pair for r in results for pair in r.pairs]
-    merged.pairs.sort(key=lambda pair: (pair[0].start, pair[0].link))
-    merged.only_a = merge_failures([r.only_a for r in results])
-    merged.only_b = merge_failures([r.only_b for r in results])
-    merged.partial_a = merge_failures([r.partial_a for r in results])
-    merged.partial_b = merge_failures([r.partial_b for r in results])
-    return merged
-
-
-def merge_coverage(
-    coverages: Sequence[TransitionCoverage],
-) -> TransitionCoverage:
-    """Fold per-link Table-3 coverage into the global tally."""
-    merged = TransitionCoverage()
-    for coverage in coverages:
-        for direction in ("down", "up"):
-            for bucket in (0, 1, 2):
-                merged.counts[direction][bucket] += coverage.counts[
-                    direction
-                ][bucket]
-        merged.unmatched.extend(coverage.unmatched)
-    merged.unmatched.sort(key=transition_sort_key)
-    return merged
-
-
-def ordered_timelines(
-    transitions: Sequence[Transition],
-    timelines: Dict[str, LinkStateTimeline],
-    trailing_links: Sequence[str],
-) -> Dict[str, LinkStateTimeline]:
-    """Rebuild a timelines dict in the sequential (sorted-link) order.
-
-    :func:`repro.core.reconstruct.reconstruct_channel` covers the links
-    seen in the transition stream plus the ``links`` parameter's
-    leftovers, inserting in sorted-link order; dict iteration order is
-    observable downstream, so the merge replicates both the membership
-    and the order exactly.
-    """
-    selected = {transition.link for transition in transitions}
-    selected.update(trailing_links)
-    return {link: timelines[link] for link in sorted(selected)}
-
-
-def collect_link_results(
-    chunk_results: Sequence[List[LinkResult]],
-) -> List[LinkResult]:
-    """Flatten chunked worker output back into sorted-link order.
-
-    Chunks are contiguous slices of the sorted link list, gathered in
-    submission order, so plain concatenation is already link-sorted.
-    """
-    return [result for chunk in chunk_results for result in chunk]  # reprolint: disable=M101 -- chunks are contiguous slices of the sorted link list gathered in submission order; concatenation is already link-sorted

@@ -1,227 +1,63 @@
-"""The parallel pipeline orchestrator.
+"""Sharded ingest of both channels over one process pool.
 
-:func:`run_parallel_analysis` is ``run_analysis`` with the three
-parallel axes swapped in (see the package docstring), structured as:
+:func:`ingest_sharded` is the ``jobs > 1`` ingest step of
+:func:`repro.core.pipeline.run_analysis`:
 
-1. **Fan out ingestion** — syslog segments and LSP decode shards are all
-   submitted to one process pool up front, so the two channels decode
-   concurrently as well as sharded.
-2. **Merge ingestion** (parent) — segment parses fold left-to-right
-   under the context re-parse rule; compact LSP records replay through
-   the listener-equivalent state machine.  Strict-mode errors surface
-   here, in the sequential run's order: syslog parse errors first, then
-   LSP decode errors.
-3. **Classify** (parent) — entry/change classification is cheap dict
-   lookups against the resolver, and keeping it in the parent avoids
-   shipping the mined inventory to every worker.
-4. **Fan out per-link analysis** — the per-link funnel (merge →
-   timeline → failures → sanitise → match → coverage → flaps) runs over
-   link chunks.
-5. **Merge results** (parent) — canonical-key stable sorts and
-   insertion-order dict rebuilds assemble the exact sequential
-   :class:`~repro.core.pipeline.AnalysisResult`.
+1. **Fan out** — syslog segments and LSP decode shards are all submitted
+   to one process pool up front, so the two channels decode concurrently
+   as well as sharded.
+2. **Fold** (parent) — segment parses fold left-to-right under the
+   context re-parse rule; compact LSP records replay through the
+   listener-equivalent state machine.  Strict-mode errors surface here,
+   in the sequential run's order: syslog parse errors first, then LSP
+   decode errors.
 
-Workers only ever see picklable value objects; the resolver, the ticket
-system, and the drop ledger stay in the parent.
+Everything after ingest runs in the parent, through the same code as the
+sequential path.  Workers only ever see picklable value objects; the
+drop ledger stays in the parent.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import Future, ProcessPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
-from repro.core.events import LinkMessage, failure_sort_key, message_sort_key
-from repro.core.extract_isis import IsisExtraction, classify_changes
-from repro.core.extract_syslog import SyslogExtraction, classify_entries
-from repro.core.flapping import flap_intervals
-from repro.core.links import LinkResolver
-from repro.core.pipeline import AnalysisOptions, AnalysisResult
 from repro.faults.ledger import IngestReport
-from repro.parallel.merge import (
-    collect_link_results,
-    merge_coverage,
-    merge_failures,
-    merge_match_results,
-    merge_parsed_segments,
-    merge_sanitization,
-    merge_transitions,
-    ordered_timelines,
-    replay_compact_records,
-)
-from repro.parallel.sharding import chunk_links, index_ranges, segment_log_text
+from repro.isis.listener import ReachabilityChange
+from repro.parallel.merge import merge_parsed_segments, replay_compact_records
+from repro.parallel.sharding import index_ranges, segment_log_text
 from repro.parallel.workers import (
     CompactLsp,
-    LinkChunkContext,
-    LinkResult,
-    LinkWorkItem,
     decode_lsp_shard,
     parse_syslog_shard,
-    process_link_chunk,
 )
 from repro.simulation.dataset import Dataset
-
-#: Chunks submitted per pool worker in the per-link phase: more chunks
-#: than workers smooths out skew from flap-heavy links without changing
-#: results (chunking is invisible after the merge).
-_CHUNKS_PER_JOB = 4
+from repro.syslog.collector import CollectedEntry
 
 
-def _group_by_link(
-    messages: Sequence[LinkMessage],
-) -> Dict[str, List[LinkMessage]]:
-    grouped: Dict[str, List[LinkMessage]] = {}
-    for message in messages:
-        grouped.setdefault(message.link, []).append(message)
-    return grouped
-
-
-def _build_work_items(
+def ingest_sharded(
     dataset: Dataset,
-    resolver: LinkResolver,
-    syslog_isis: Sequence[LinkMessage],
-    syslog_physical: Sequence[LinkMessage],
-    isis_is: Sequence[LinkMessage],
-    isis_ip: Sequence[LinkMessage],
-) -> List[LinkWorkItem]:
-    """One work item per link, in sorted link order.
-
-    The universe is every link any message stream names plus every
-    single link (those get all-UP timelines even without messages, as
-    the sequential extractors' ``links=`` parameters arrange).
-    """
-    single = {record.name for record in resolver.single_links()}
-    by_link = {
-        "syslog_isis": _group_by_link(syslog_isis),
-        "syslog_physical": _group_by_link(syslog_physical),
-        "isis_is": _group_by_link(isis_is),
-        "isis_ip": _group_by_link(isis_ip),
-    }
-    links = set(single)
-    for grouped in by_link.values():
-        links.update(grouped)
-    return [
-        LinkWorkItem(
-            link=link,
-            is_single=link in single,
-            syslog_isis=tuple(by_link["syslog_isis"].get(link, ())),
-            syslog_physical=tuple(by_link["syslog_physical"].get(link, ())),
-            isis_is=tuple(by_link["isis_is"].get(link, ())),
-            isis_ip=tuple(by_link["isis_ip"].get(link, ())),
-            tickets=tuple(dataset.tickets.tickets_for(link)),
-        )
-        for link in sorted(links)
-    ]
-
-
-def _assemble_syslog(
-    entries_classified: Tuple[List[LinkMessage], List[LinkMessage], int, int],
-    link_results: Sequence[LinkResult],
-    resolver: LinkResolver,
-) -> SyslogExtraction:
-    result = SyslogExtraction()
-    (
-        result.isis_messages,
-        result.physical_messages,
-        result.unparsed_count,
-        result.unresolved_count,
-    ) = entries_classified
-    result.isis_messages.sort(key=message_sort_key)
-    result.physical_messages.sort(key=message_sort_key)
-    result.isis_transitions = merge_transitions(
-        [r.syslog_isis_transitions for r in link_results]
-    )
-    result.physical_transitions = merge_transitions(
-        [r.syslog_physical_transitions for r in link_results]
-    )
-    single = {record.name for record in resolver.single_links()}
-    timeline_transitions = [
-        t for t in result.isis_transitions if t.link in single
-    ]
-    result.timelines = ordered_timelines(
-        timeline_transitions,
-        {
-            r.link: r.syslog_timeline
-            for r in link_results
-            if r.syslog_timeline is not None
-        },
-        sorted(single),
-    )
-    result.failures = merge_failures(
-        [r.syslog_failures for r in link_results]
-    )
-    return result
-
-
-def _assemble_isis(
-    changes_classified: Tuple[List[LinkMessage], List[LinkMessage], int, int],
-    rejected_lsps: int,
-    link_results: Sequence[LinkResult],
-    resolver: LinkResolver,
-) -> IsisExtraction:
-    result = IsisExtraction()
-    result.rejected_lsps = rejected_lsps
-    (
-        result.is_messages,
-        result.ip_messages,
-        result.multilink_skipped,
-        result.unresolved_count,
-    ) = changes_classified
-    result.is_messages.sort(key=message_sort_key)
-    result.ip_messages.sort(key=message_sort_key)
-    result.is_transitions = merge_transitions(
-        [r.isis_is_transitions for r in link_results]
-    )
-    result.ip_transitions = merge_transitions(
-        [r.isis_ip_transitions for r in link_results]
-    )
-    result.timelines = ordered_timelines(
-        result.is_transitions,
-        {
-            r.link: r.isis_timeline
-            for r in link_results
-            if r.isis_timeline is not None
-        },
-        [record.name for record in resolver.single_links()],
-    )
-    result.failures = merge_failures([r.isis_failures for r in link_results])
-    return result
-
-
-def run_parallel_analysis(
-    dataset: Dataset,
-    options: Optional[AnalysisOptions] = None,
     *,
-    strict: bool = True,
-    report: Optional[IngestReport] = None,
-    jobs: int = 2,
-    ingest: str = "scalar",
-) -> AnalysisResult:
-    """Run the complete methodology across a process pool.
+    jobs: int,
+    ingest: str,
+    strict: bool,
+    report: Optional[IngestReport],
+) -> Tuple[List[CollectedEntry], List[ReachabilityChange], int]:
+    """Parse the syslog file and replay the LSP archive across a pool.
 
-    Byte-identical to :func:`repro.core.pipeline.run_analysis` with the
-    same arguments — results, orderings, ledger, and (in strict mode)
-    the exception raised on bad input.  ``jobs`` controls the pool width
-    and shard counts; ``ingest`` the syslog parse engine used inside the
-    workers (and for context re-parses); both affect wall-clock only.
+    Returns ``(entries, changes, rejected_lsps)`` byte-identical to the
+    sequential parse plus :func:`repro.core.extract_isis.replay_lsp_records`
+    — the same lists, the same ledger, and (in strict mode) the same
+    exception.  ``jobs`` sets the pool width and shard counts; ``ingest``
+    the syslog parse engine used inside the workers and for context
+    re-parses.
     """
-    if jobs < 1:
-        raise ValueError("jobs must be positive")
-    if ingest not in ("scalar", "columnar"):
-        raise ValueError(f"unknown ingest engine {ingest!r}")
-    if options is None:
-        options = AnalysisOptions()
-    if not strict and report is None:
-        report = IngestReport()
-    resolver = LinkResolver(dataset.inventory)
-    horizon_start = dataset.analysis_start
-    horizon_end = dataset.horizon_end
-
     segments = segment_log_text(dataset.syslog_text, jobs)
     lsp_ranges = index_ranges(len(dataset.lsp_records), jobs)
 
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        # Phase 1: both channels' shards go in together, so syslog
-        # parsing and LSP decoding overlap in the pool.
+        # Both channels' shards go in together, so syslog parsing and
+        # LSP decoding overlap in the pool.
         syslog_futures = [
             pool.submit(  # reprolint: dispatch
                 parse_syslog_shard,
@@ -241,8 +77,8 @@ def run_parallel_analysis(
             for start, stop in lsp_ranges
         ]
 
-        # Phase 2: fold shards in source order.  Syslog errors surface
-        # before LSP errors, as in the sequential run.
+        # Fold shards in source order.  Syslog errors surface before LSP
+        # errors, as in the sequential run.
         entries = merge_parsed_segments(
             [
                 (segment, parsed, shard_report)
@@ -260,87 +96,12 @@ def run_parallel_analysis(
             shard_compact, shard_errors = future.result()
             compact.extend(shard_compact)
             decode_errors.extend(shard_errors)
-        changes, rejected = replay_compact_records(
-            compact,
-            decode_errors,
-            dataset.lsp_records,
-            strict=strict,
-            report=report,
-        )
 
-        # Phase 3: classification in the parent (resolver stays local).
-        entries_classified = classify_entries(entries, resolver)
-        changes_classified = classify_changes(changes, resolver)
-
-        # Phase 4: per-link fan.  Items carry each link's slice of the
-        # globally sorted message streams.
-        syslog_isis = sorted(
-            entries_classified[0], key=message_sort_key
-        )
-        syslog_physical = sorted(
-            entries_classified[1], key=message_sort_key
-        )
-        isis_is = sorted(
-            changes_classified[0], key=message_sort_key
-        )
-        isis_ip = sorted(
-            changes_classified[1], key=message_sort_key
-        )
-        items = _build_work_items(
-            dataset, resolver, syslog_isis, syslog_physical, isis_is, isis_ip
-        )
-        context = LinkChunkContext(
-            horizon_start=horizon_start,
-            horizon_end=horizon_end,
-            syslog=options.syslog,
-            isis=options.isis,
-            matching=options.matching,
-            sanitization=options.sanitization,
-            flap_gap_threshold=options.flap_gap_threshold,
-            listener_outages=dataset.listener_outages,
-        )
-        chunk_futures = [
-            pool.submit(process_link_chunk, chunk, context)  # reprolint: dispatch
-            for chunk in chunk_links(items, jobs * _CHUNKS_PER_JOB)
-        ]
-        link_results = collect_link_results(
-            [future.result() for future in chunk_futures]
-        )
-
-    # Phase 5: merge per-link results into the sequential shapes.
-    syslog = _assemble_syslog(entries_classified, link_results, resolver)
-    isis = _assemble_isis(
-        changes_classified, rejected, link_results, resolver
+    changes, rejected = replay_compact_records(
+        compact,
+        decode_errors,
+        dataset.lsp_records,
+        strict=strict,
+        report=report,
     )
-    syslog_sanitized = merge_sanitization(
-        [r.syslog_sanitized for r in link_results if r.syslog_sanitized]
-    )
-    isis_sanitized = merge_sanitization(
-        [r.isis_sanitized for r in link_results if r.isis_sanitized]
-    )
-    failure_match = merge_match_results(
-        [r.match for r in link_results if r.match]
-    )
-    coverage = merge_coverage(
-        [r.coverage for r in link_results if r.coverage]
-    )
-    episodes = [
-        episode for r in link_results for episode in r.flap_episodes
-    ]
-    episodes.sort(key=failure_sort_key)
-
-    return AnalysisResult(
-        resolver=resolver,
-        syslog=syslog,
-        isis=isis,
-        syslog_sanitized=syslog_sanitized,
-        isis_sanitized=isis_sanitized,
-        failure_match=failure_match,
-        coverage=coverage,
-        flap_episodes=episodes,
-        flap_intervals=flap_intervals(episodes, horizon_start=horizon_start),
-        horizon_start=horizon_start,
-        horizon_end=horizon_end,
-        options=options,
-        ingest=report,
-    )
+    return entries, changes, rejected

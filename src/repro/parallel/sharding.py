@@ -9,9 +9,7 @@ giving every run the same shards.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple, TypeVar
-
-T = TypeVar("T")
+from typing import List, Tuple
 
 
 @dataclass(frozen=True)
@@ -90,14 +88,3 @@ def index_ranges(total: int, shard_count: int) -> List[Tuple[int, int]]:
         ranges.append((start, stop))
         start = stop
     return ranges
-
-
-def chunk_links(links: Sequence[T], shard_count: int) -> List[List[T]]:
-    """Partition an ordered link list into contiguous chunks.
-
-    The caller passes links in sorted order; chunk boundaries are then a
-    pure function of ``(len(links), shard_count)``.  The downstream merge
-    re-sorts everything by canonical keys, so chunking affects only load
-    balance, never results.
-    """
-    return [list(links[a:b]) for a, b in index_ranges(len(links), shard_count)]

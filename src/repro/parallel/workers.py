@@ -16,43 +16,11 @@ what makes the results reproducible regardless of worker scheduling.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
-from repro.core.events import (
-    SOURCE_ISIS_IP,
-    SOURCE_ISIS_IS,
-    SOURCE_SYSLOG,
-    FailureEvent,
-    LinkMessage,
-    Transition,
-)
-from repro.core.extract_isis import IsisExtractionConfig
-from repro.core.extract_syslog import SyslogExtractionConfig
-from repro.core.flapping import FlapEpisode, detect_flap_episodes
-from repro.core.matching import (
-    FailureMatchResult,
-    MatchConfig,
-    TransitionCoverage,
-    count_matching_reporters,
-    match_failures,
-)
-from repro.core.reconstruct import (
-    merge_messages,
-    reconstruct_channel,
-)
-from repro.core.sanitize import (
-    SanitizationConfig,
-    SanitizationReport,
-    sanitize_failures,
-)
 from repro.faults.ledger import IngestReport
-from repro.intervals import IntervalSet
-from repro.intervals.timeline import LinkStateTimeline
 from repro.isis.lsp import LinkStatePacket
-from repro.isis.mrt import MrtDumpReader
 from repro.syslog.collector import ParsedSegment, SyslogCollector
-from repro.ticketing import TicketSystem, TroubleTicket
 
 #: A decoded LSP reduced to what the listener replay consumes:
 #: ``(time, system_id, pseudonode, fragment, sequence_number, is_purge,
@@ -132,152 +100,3 @@ def decode_lsp_shard(
             )
         )
     return compact, errors
-
-
-def decode_dump_shard(
-    path: str, start_offset: int, start_index: int, count: int
-) -> Tuple[List[CompactLsp], List[Tuple[int, str]]]:
-    """File-based variant of :func:`decode_lsp_shard`.
-
-    The worker reads its own record range straight from the archive
-    (via :meth:`repro.isis.mrt.MrtDumpReader.read_range`), so the parent
-    ships only ``(path, offset, index, count)`` instead of payload bytes.
-    """
-    return decode_lsp_shard(
-        MrtDumpReader.read_range(path, start_offset, count), start_index
-    )
-
-
-@dataclass(frozen=True)
-class LinkChunkContext:
-    """Everything shared by all links in a phase-5 chunk."""
-
-    horizon_start: float
-    horizon_end: float
-    syslog: SyslogExtractionConfig
-    isis: IsisExtractionConfig
-    matching: MatchConfig
-    sanitization: SanitizationConfig
-    flap_gap_threshold: float
-    listener_outages: IntervalSet
-
-
-@dataclass(frozen=True)
-class LinkWorkItem:
-    """One link's inputs to the per-link funnel.
-
-    Message lists are the link's slice of the globally sorted message
-    streams — i.e. already in the order the sequential per-link funnel
-    would see them.  ``tickets`` is the link's slice of the ticket
-    system, or ``None`` for a channel that skips ticket checks.
-    """
-
-    link: str
-    is_single: bool
-    syslog_isis: Tuple[LinkMessage, ...] = ()
-    syslog_physical: Tuple[LinkMessage, ...] = ()
-    isis_is: Tuple[LinkMessage, ...] = ()
-    isis_ip: Tuple[LinkMessage, ...] = ()
-    tickets: Optional[Tuple[TroubleTicket, ...]] = None
-
-
-@dataclass
-class LinkResult:
-    """Everything the per-link funnel produced for one link."""
-
-    link: str
-    syslog_isis_transitions: List[Transition] = field(default_factory=list)
-    syslog_physical_transitions: List[Transition] = field(default_factory=list)
-    isis_is_transitions: List[Transition] = field(default_factory=list)
-    isis_ip_transitions: List[Transition] = field(default_factory=list)
-    syslog_timeline: Optional[LinkStateTimeline] = None
-    isis_timeline: Optional[LinkStateTimeline] = None
-    syslog_failures: List[FailureEvent] = field(default_factory=list)
-    isis_failures: List[FailureEvent] = field(default_factory=list)
-    syslog_sanitized: Optional[SanitizationReport] = None
-    isis_sanitized: Optional[SanitizationReport] = None
-    match: Optional[FailureMatchResult] = None
-    coverage: Optional[TransitionCoverage] = None
-    flap_episodes: List[FlapEpisode] = field(default_factory=list)
-
-
-def _process_link(item: LinkWorkItem, context: LinkChunkContext) -> LinkResult:
-    """Run the sequential per-link funnel for one link.
-
-    Each stage here is exactly the sequential pipeline's computation
-    restricted to one link; the merge step reassembles global order.
-    """
-    result = LinkResult(link=item.link)
-    result.syslog_isis_transitions = merge_messages(
-        list(item.syslog_isis), context.syslog.merge_window, SOURCE_SYSLOG
-    )
-    result.syslog_physical_transitions = merge_messages(
-        list(item.syslog_physical), context.syslog.merge_window, SOURCE_SYSLOG
-    )
-    result.isis_is_transitions = merge_messages(
-        list(item.isis_is), context.isis.merge_window, SOURCE_ISIS_IS
-    )
-    result.isis_ip_transitions = merge_messages(
-        list(item.isis_ip), context.isis.merge_window, SOURCE_ISIS_IP
-    )
-
-    # Timeline universes mirror the sequential extractors exactly: the
-    # syslog channel reconstructs state only for single-link adjacencies,
-    # the IS-IS channel for every link its IS transitions name plus all
-    # single links (in practice the same set, see §3.4).
-    if item.is_single:
-        timelines, result.syslog_failures = reconstruct_channel(
-            result.syslog_isis_transitions,
-            context.horizon_start,
-            context.horizon_end,
-            strategy=context.syslog.strategy,
-            links=[item.link],
-            source=SOURCE_SYSLOG,
-        )
-        result.syslog_timeline = timelines[item.link]
-    if item.is_single or result.isis_is_transitions:
-        timelines, result.isis_failures = reconstruct_channel(
-            result.isis_is_transitions,
-            context.horizon_start,
-            context.horizon_end,
-            strategy=context.isis.strategy,
-            links=[item.link],
-            source=SOURCE_ISIS_IS,
-        )
-        result.isis_timeline = timelines[item.link]
-
-    tickets = (
-        TicketSystem(item.tickets) if item.tickets is not None else None
-    )
-    result.syslog_sanitized = sanitize_failures(
-        result.syslog_failures,
-        context.listener_outages,
-        tickets,
-        context.sanitization,
-    )
-    result.isis_sanitized = sanitize_failures(
-        result.isis_failures,
-        context.listener_outages,
-        tickets=None,
-        config=context.sanitization,
-    )
-
-    result.match = match_failures(
-        result.syslog_sanitized.kept,
-        result.isis_sanitized.kept,
-        context.matching,
-    )
-    result.coverage = count_matching_reporters(
-        result.isis_is_transitions, list(item.syslog_isis), context.matching
-    )
-    result.flap_episodes = detect_flap_episodes(
-        result.isis_sanitized.kept, context.flap_gap_threshold
-    )
-    return result
-
-
-def process_link_chunk(
-    items: List[LinkWorkItem], context: LinkChunkContext
-) -> List[LinkResult]:
-    """Run the per-link funnel for every link in one chunk."""
-    return [_process_link(item, context) for item in items]

@@ -1,21 +1,11 @@
 """Deliberately bad: shard merges whose result depends on shard order.
 
 Every function here passes on one core — shard order equals source
-order when there is one shard — which is exactly why the M1xx rules
+order when there is one shard — which is exactly why the M102/M103 rules
 must catch the shapes statically.
 """
 
 from typing import Dict
-
-
-def collect_episodes(shard_results):
-    merged = [e for shard in shard_results for e in shard.episodes]
-    return merged  # M101: flatten kept in shard order, never sorted
-
-
-def collect_names(shard_results):
-    # M101: the flatten is returned directly, unsorted.
-    return [name for shard in shard_results for name in shard.names]
 
 
 def render_totals(totals: Dict[str, int], out):

@@ -141,16 +141,23 @@ class TestJobsAuto:
 
     def test_jobs_zero_resolves_to_cpu_count(self, small_dataset, monkeypatch):
         from repro import run_analysis
+        from repro.core.extract_isis import replay_lsp_records
+        from repro.syslog.collector import SyslogCollector
 
         seen = {}
 
-        def fake_parallel(dataset, options=None, *, strict=True, report=None,
-                          jobs=0, ingest="scalar"):
+        def fake_ingest(dataset, *, jobs, ingest, strict, report):
             seen["jobs"] = jobs
-            return run_analysis(dataset, strict=strict, ingest=ingest)
+            entries = SyslogCollector.parse_log(
+                dataset.syslog_text, strict=strict, report=report
+            )
+            listener, changes = replay_lsp_records(
+                dataset.lsp_records, strict=strict, report=report
+            )
+            return entries, changes, listener.rejected_count
 
         monkeypatch.setattr(
-            "repro.parallel.pipeline.run_parallel_analysis", fake_parallel
+            "repro.parallel.pipeline.ingest_sharded", fake_ingest
         )
         monkeypatch.setattr("repro.core.pipeline.os.cpu_count", lambda: 3)
         run_analysis(small_dataset, jobs=0)

@@ -8,8 +8,8 @@ not background noise.
 
 * W001/W004 — worker impurity injected into ``parallel/workers.py`` /
   ``parallel/pipeline.py``, found through the real dispatch sites;
-* M101–M103 — the canonical sort severed in ``parallel/merge.py``,
-  plus synthetic order-dependent merges appended to it;
+* M102/M103 — synthetic order-dependent merges appended to
+  ``parallel/merge.py``;
 * H201–H203 — the PR 6 bug class: horizon guards dropped from
   ``fleet/generate.py``, unclipped generators appended to
   ``stream/engine.py``;
@@ -61,19 +61,19 @@ def append_source(source: str, injected: str) -> str:
 
 # ------------------------------------------------------------- W001
 def test_injected_global_mutation_in_workers_trips_w001():
-    """A module-dict write planted inside ``_process_link`` is found
-    through the *real* dispatch chain: ``pipeline.run_parallel_analysis``
-    submits ``process_link_chunk``, which calls ``_process_link``."""
+    """A module-dict write planted inside ``decode_lsp_shard`` is found
+    through the *real* dispatch site: ``pipeline.ingest_sharded``
+    hands ``decode_lsp_shard`` to ``pool.submit``."""
     tree = ast.parse(WORKERS_PATH.read_text(encoding="utf-8"))
     tree.body.extend(ast.parse("_SHARD_MEMO = {}").body)
     planted = 0
     for node in ast.walk(tree):
         if (
             isinstance(node, ast.FunctionDef)
-            and node.name == "_process_link"
+            and node.name == "decode_lsp_shard"
         ):
             node.body.insert(
-                0, ast.parse("_SHARD_MEMO[item.link] = item.link").body[0]
+                0, ast.parse("_SHARD_MEMO[start_index] = records").body[0]
             )
             planted += 1
     assert planted == 1
@@ -81,7 +81,7 @@ def test_injected_global_mutation_in_workers_trips_w001():
     modules = src_modules(WORKERS_PATH, ast.unparse(tree))
     hits = run_rule("W001", modules, WORKERS_PATH)
     assert hits, "W001 should fire on the planted module-state write"
-    assert any("_process_link" in f.message for f in hits)
+    assert any("decode_lsp_shard" in f.message for f in hits)
     assert any("_SHARD_MEMO" in f.message for f in hits)
 
 
@@ -120,45 +120,6 @@ def test_shipped_pipeline_is_clean_for_w_rules():
     modules = src_modules(PIPELINE_PATH, PIPELINE_PATH.read_text("utf-8"))
     for rule_id in ("W001", "W002", "W003", "W004"):
         assert run_rule(rule_id, modules, PIPELINE_PATH) == []
-
-
-# ------------------------------------------------------------- M101
-def test_severed_sort_in_merge_transitions_trips_m101():
-    tree = ast.parse(MERGE_PATH.read_text(encoding="utf-8"))
-    removed = 0
-    for node in ast.walk(tree):
-        if (
-            isinstance(node, ast.FunctionDef)
-            and node.name == "merge_transitions"
-        ):
-            kept = []
-            for stmt in node.body:
-                if (
-                    isinstance(stmt, ast.Expr)
-                    and isinstance(stmt.value, ast.Call)
-                    and isinstance(stmt.value.func, ast.Attribute)
-                    and stmt.value.func.attr == "sort"
-                ):
-                    removed += 1
-                    continue
-                kept.append(stmt)
-            node.body = kept
-    assert removed == 1, "expected exactly one .sort(...) to sever"
-    modules = src_modules(MERGE_PATH, ast.unparse(tree))
-    hits = run_rule("M101", modules, MERGE_PATH)
-    assert any(
-        "merged" in f.snippet and "per_link" in f.snippet for f in hits
-    ), "M101 should fire on the now-unsorted flatten"
-
-
-def test_shipped_merge_has_only_the_justified_m101():
-    """The one in-tree flatten-without-sort is ``collect_link_results``,
-    whose shard order is already canonical (and suppressed in-line with
-    that justification); nothing else may match."""
-    modules = src_modules(MERGE_PATH, MERGE_PATH.read_text("utf-8"))
-    hits = run_rule("M101", modules, MERGE_PATH)
-    assert len(hits) == 1
-    assert "chunk_results" in hits[0].snippet
 
 
 # ------------------------------------------------------- M102 / M103

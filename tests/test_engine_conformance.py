@@ -54,7 +54,7 @@ SEED_CONFIGS = {
 }
 
 #: The AnalysisResult-producing drivers measured against batch.
-ANALYSIS_MODES = ("columnar", "parallel")
+ANALYSIS_MODES = ("columnar", "parallel", "parallel-columnar")
 #: Every rendering the report CLI can produce from an AnalysisResult.
 TABLES = ("table2", "table3", "table4", "table5", "flaps")
 #: The subset computable from a StreamResult's retained products.
@@ -87,6 +87,16 @@ def conformance(request, tmp_path_factory):
             dataset, strict=False, report=tracked("parallel"), jobs=3
         ),
     }
+    # Sharded columnar ingest: a sixth driver configuration, its ledger
+    # kept apart from the five-driver ledger set below.
+    parallel_columnar_report = IngestReport()
+    modes["parallel-columnar"] = run_analysis(
+        dataset,
+        strict=False,
+        report=parallel_columnar_report,
+        jobs=2,
+        ingest="columnar",
+    )
     stream = stream_dataset(dataset, strict=False, report=tracked("stream"))
 
     # Service mode: the dataset saved as a tenant profile, its syslog
@@ -133,6 +143,7 @@ def conformance(request, tmp_path_factory):
         service=service,
         worker_report=read_report(state_dir),
         ledgers=ledgers,
+        parallel_columnar_ledger=parallel_columnar_report,
     )
 
 
@@ -170,7 +181,8 @@ def assert_same_sanitization(mine, theirs):
 
 
 class TestAnalysisDriverConformance:
-    """Columnar and parallel against batch: the full rendering surface."""
+    """Columnar, parallel and both together against batch: the full
+    rendering surface."""
 
     @pytest.mark.parametrize("table", TABLES)
     @pytest.mark.parametrize("mode", ANALYSIS_MODES)
@@ -267,3 +279,8 @@ class TestDropLedgerConformance:
         reference = documents["batch"]
         for name in ("columnar", "parallel", "stream"):
             assert documents[name] == reference, name
+
+    def test_parallel_columnar_ledger_matches_batch(self, conformance):
+        ledger = conformance.parallel_columnar_ledger
+        assert ledger.dropped() == 0
+        assert ledger.to_json() == conformance.ledgers["batch"].to_json()

@@ -21,7 +21,6 @@ from repro.parallel.merge import (
 )
 from repro.parallel.sharding import (
     LogSegment,
-    chunk_links,
     index_ranges,
     segment_log_text,
 )
@@ -171,11 +170,6 @@ class TestIndexRanges:
         assert index_ranges(0, 4) == []
         with pytest.raises(ValueError):
             index_ranges(10, 0)
-
-    def test_chunk_links_contiguous(self):
-        links = [f"l{i}" for i in range(10)]
-        chunks = chunk_links(links, 3)
-        assert [l for chunk in chunks for l in chunk] == links
 
 
 class TestContextReparse:
