@@ -529,6 +529,23 @@ class CallGraph:
             return self._method(parts[0], parts[1])
         return None
 
+    def resolve_name(self, dotted: str, module: SourceModule) -> str:
+        """Canonical dotted name of any reference spelled in ``module``
+        — a class as well as a function — through import aliases and
+        package re-exports; a name no import binds is the module's own."""
+        imports = self._imports.get(module.path)
+        head = dotted.split(".", 1)[0]
+        if imports is not None and head in imports.aliases:
+            resolved = imports.resolve(dotted)
+        else:
+            resolved = f"{self._module_names.get(module.path, '')}.{dotted}"
+        for _ in range(4):
+            target = self.reexports.get(resolved)
+            if target is None or target == resolved:
+                break
+            resolved = target
+        return resolved
+
     # ----------------------------------------------------- reachability
     def reachable_from(self, roots: Iterable[str]) -> Set[str]:
         """Every function reachable from ``roots`` over call edges,

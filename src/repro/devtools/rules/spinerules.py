@@ -6,7 +6,8 @@ columnar, parallel, stream, service).  The comparison between syslog
 and IS-IS is only meaningful while every mode computes the *same*
 semantics; these rules make that correspondence a checked property.
 Since the engine unification the post-ingest phases live once, in
-:mod:`repro.engine`; S405 is the rule that keeps them from ever
+:mod:`repro.engine`, and IS-IS ingest once, in the listener's
+compact-record machine; S405 is the rule that keeps them from ever
 triplicating again.
 
 All five rules are thin views over :class:`repro.devtools.spine
@@ -108,7 +109,8 @@ class PhaseResolutionDriftRule(_SpineRule):
     rationale = (
         "After the engine unification each post-ingest phase has "
         "exactly one implementation — the per-link machine in "
-        "repro.engine — and every registered implementation of every "
+        "repro.engine — as does IS-IS ingest (the listener's compact-"
+        "record machine), and every registered implementation of every "
         "phase must funnel into that sink.  A mode that resolves a "
         "phase to two implementations, or an implementation that no "
         "longer reaches the canonical core, is the divergent "

@@ -1,10 +1,12 @@
 """Link-state database with ISO 10589 acceptance rules.
 
-The listener keeps an LSDB so duplicate and out-of-order floods (which a
-passive tap hears constantly — the paper's listener logged 11 million LSP
-updates for ~23 thousand real transitions) do not masquerade as state
-changes: only an LSP with a *newer* sequence number than the stored copy is
-accepted and handed to the reachability differ.
+A router keeps an LSDB so duplicate and out-of-order floods do not
+masquerade as state changes: only an LSP with a *newer* sequence number
+than the stored copy is accepted.  The CSNP/PSNP summaries of
+:mod:`repro.isis.snp` are computed over it.  The passive listener applies
+the same acceptance rule to compact records instead
+(:meth:`repro.isis.listener.IsisListener.observe_compact`): it never needs
+the stored packets, only their reachability.
 """
 
 from __future__ import annotations
@@ -27,9 +29,8 @@ class LinkStateDatabase:
     """Newest-LSP-wins store keyed by LSP ID.
 
     Besides the flat store, a per-origin index maps each system ID to its
-    stored fragments: :meth:`lsps_of` runs once per *accepted* LSP on the
-    listener's hot path (11 million updates in the paper's archive), so it
-    must not touch — let alone sort — the other origins' entries.
+    stored fragments, so :meth:`lsps_of` never touches — let alone sorts —
+    the other origins' entries.
     """
 
     def __init__(self) -> None:

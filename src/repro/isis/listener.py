@@ -1,11 +1,12 @@
 """The passive IS-IS listener — this reproduction's PyRT.
 
 The listener participates in the IS-IS domain only to hear floods.  For
-every LSP it: (1) checks the LSDB acceptance rule so duplicate floods are
-ignored; (2) on first contact with an origin, records its hostname from the
-Dynamic Hostname TLV and its initial IS/IP reachability; (3) on subsequent
-LSPs, diffs the advertised Extended IS Reachability and Extended IP
-Reachability against the previous advertisement and emits a
+every LSP, reduced to the compact record of :mod:`repro.isis.compact`,
+it: (1) checks the LSDB acceptance rule so duplicate floods are ignored;
+(2) on first contact with an origin, records its hostname from the
+Dynamic Hostname TLV and its initial IS/IP reachability; (3) on
+subsequent LSPs, diffs the advertised Extended IS Reachability and
+Extended IP Reachability against the previous advertisement and emits a
 :class:`ReachabilityChange` for every entry gained or lost — exactly the
 procedure of §3.2.
 
@@ -19,9 +20,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Set, Tuple, Union
+from typing import Dict, FrozenSet, List, Tuple, Union
 
-from repro.isis.database import LinkStateDatabase
+from repro.isis.compact import CompactLsp, compact_from_lsp, decode_compact
 from repro.isis.lsp import LinkStatePacket
 
 
@@ -53,92 +54,125 @@ class ReachabilityChange:
             raise ValueError(f"bad direction {self.direction!r}")
 
 
-@dataclass
-class _OriginState:
-    is_neighbors: FrozenSet[str]
-    ip_prefixes: FrozenSet[Tuple[int, int]]
-
-
 class IsisListener:
-    """Consumes timestamped LSPs, produces reachability change events."""
+    """Consumes timestamped LSPs, produces reachability change events.
+
+    One state machine, :meth:`observe_compact`, serves every mode: wire
+    bytes (:meth:`observe_bytes`) and decoded packets (:meth:`observe`)
+    are both reduced to a :data:`~repro.isis.compact.CompactLsp` first,
+    and the sharded decode of ``jobs > 1`` replays its records through
+    it directly.
+    """
 
     def __init__(self) -> None:
-        self._database = LinkStateDatabase()
-        self._origin_state: Dict[str, _OriginState] = {}
+        #: Per origin, the newest accepted record of each fragment, keyed
+        #: by ``(pseudonode, fragment)`` — the LSDB the diffs run over.
+        self._fragments: Dict[str, Dict[Tuple[int, int], CompactLsp]] = {}
+        #: Per origin, the last-diffed aggregate IS and IP reachability.
+        self._origin_state: Dict[
+            str, Tuple[FrozenSet[str], FrozenSet[Tuple[int, int]]]
+        ] = {}
+        #: Wire system ID -> dotted form, memoised for :func:`decode_compact`.
+        self._system_ids: Dict[bytes, str] = {}
         self.hostnames: Dict[str, str] = {}
         self.changes: List[ReachabilityChange] = []
         #: LSPs rejected by the LSDB (duplicates / stale floods).
         self.rejected_count = 0
 
-    @property
-    def database(self) -> LinkStateDatabase:
-        return self._database
-
     def observe_bytes(self, time: float, raw: bytes) -> List[ReachabilityChange]:
         """Decode a wire LSP and process it (checksum verified)."""
-        return self.observe(time, LinkStatePacket.unpack(raw))
+        record = decode_compact(time, raw, self._system_ids)
+        return self.observe_compact(record)
 
     def observe(self, time: float, lsp: LinkStatePacket) -> List[ReachabilityChange]:
-        """Process one LSP; returns (and records) the changes it implies."""
-        if not self._database.consider(lsp, time):
+        """Process one decoded LSP; returns (and records) its changes."""
+        return self.observe_compact(compact_from_lsp(time, lsp))
+
+    def observe_compact(self, record: CompactLsp) -> List[ReachabilityChange]:
+        """Process one compact LSP record; returns (and records) the
+        changes it implies."""
+        (
+            time,
+            origin,
+            pseudonode,
+            fragment,
+            sequence,
+            purge,
+            hostname,
+            neighbors,
+            prefixes,
+        ) = record
+        # LSDB acceptance (ISO 10589): newer means a strictly higher
+        # sequence number, or a purge of the stored sequence number.
+        fragments = self._fragments.setdefault(origin, {})
+        key = (pseudonode, fragment)
+        stored = fragments.get(key)
+        if stored is not None and (
+            sequence < stored[4]
+            or (sequence == stored[4] and not (purge and not stored[5]))
+        ):
             self.rejected_count += 1
             return []
+        fragments[key] = record
+        if hostname is not None:
+            self.hostnames[origin] = hostname
 
-        origin = lsp.lsp_id.system_id
-        if lsp.hostname is not None:
-            self.hostnames[origin] = lsp.hostname
-
-        if lsp.is_purge():
+        if purge:
             new_is: FrozenSet[str] = frozenset()
             new_ip: FrozenSet[Tuple[int, int]] = frozenset()
+        elif len(fragments) == 1:
+            new_is = frozenset(neighbors)
+            new_ip = frozenset(prefixes)
         else:
             # Aggregate over all stored fragments of this origin so a
             # multi-fragment router is diffed on its full advertisement.
-            neighbors: Set[str] = set()
-            prefixes: Set[Tuple[int, int]] = set()
-            for fragment in self._database.lsps_of(origin):
-                for neighbor in fragment.is_neighbors:
-                    neighbors.add(neighbor.system_id)
-                for prefix in fragment.ip_prefixes:
-                    prefixes.add((prefix.prefix, prefix.prefix_length))
-            new_is = frozenset(neighbors)
-            new_ip = frozenset(prefixes)
+            new_is = frozenset().union(*(f[7] for f in fragments.values()))
+            new_ip = frozenset().union(*(f[8] for f in fragments.values()))
 
         previous = self._origin_state.get(origin)
-        emitted: List[ReachabilityChange] = []
+        self._origin_state[origin] = (new_is, new_ip)
         if previous is None:
             # First LSP from this origin: record state, emit nothing —
             # the paper's listener likewise seeds its view silently (§3.2).
-            self._origin_state[origin] = _OriginState(new_is, new_ip)
-            return emitted
+            return []
 
-        for neighbor_id in sorted(previous.is_neighbors - new_is):
-            emitted.append(
-                ReachabilityChange(time, origin, ReachabilityKind.IS, "down", neighbor_id)
-            )
-        for neighbor_id in sorted(new_is - previous.is_neighbors):
-            emitted.append(
-                ReachabilityChange(time, origin, ReachabilityKind.IS, "up", neighbor_id)
-            )
-        for prefix in sorted(previous.ip_prefixes - new_ip):
-            emitted.append(
-                ReachabilityChange(time, origin, ReachabilityKind.IP, "down", prefix)
-            )
-        for prefix in sorted(new_ip - previous.ip_prefixes):
-            emitted.append(
-                ReachabilityChange(time, origin, ReachabilityKind.IP, "up", prefix)
-            )
-
-        self._origin_state[origin] = _OriginState(new_is, new_ip)
+        previous_is, previous_ip = previous
+        emitted: List[ReachabilityChange] = []
+        if new_is != previous_is:
+            for neighbor_id in sorted(previous_is - new_is):
+                emitted.append(
+                    ReachabilityChange(
+                        time, origin, ReachabilityKind.IS, "down", neighbor_id
+                    )
+                )
+            for neighbor_id in sorted(new_is - previous_is):
+                emitted.append(
+                    ReachabilityChange(
+                        time, origin, ReachabilityKind.IS, "up", neighbor_id
+                    )
+                )
+        if new_ip != previous_ip:
+            for prefix in sorted(previous_ip - new_ip):
+                emitted.append(
+                    ReachabilityChange(
+                        time, origin, ReachabilityKind.IP, "down", prefix
+                    )
+                )
+            for prefix in sorted(new_ip - previous_ip):
+                emitted.append(
+                    ReachabilityChange(
+                        time, origin, ReachabilityKind.IP, "up", prefix
+                    )
+                )
         self.changes.extend(emitted)
         return emitted
 
     def current_is_neighbors(self, origin: str) -> FrozenSet[str]:
         """The origin's currently advertised IS neighbors (empty if unseen)."""
         state = self._origin_state.get(origin)
-        return state.is_neighbors if state else frozenset()
+        return state[0] if state else frozenset()
 
     def current_ip_prefixes(self, origin: str) -> FrozenSet[Tuple[int, int]]:
         """The origin's currently advertised prefixes (empty if unseen)."""
         state = self._origin_state.get(origin)
-        return state.ip_prefixes if state else frozenset()
+        return state[1] if state else frozenset()

@@ -15,8 +15,8 @@ places:
    rare segment where it could have.
 2. **LSP decoding** shards the archive by record ranges.  Decoding is
    context-free; only the listener replay is stateful, so workers return
-   compact per-record tuples and the parent replays them through a
-   listener-equivalent state machine.
+   the listener's compact records and the parent replays them, in
+   record order, through the one listener state machine.
 
 The contract is byte-identity: ``run_analysis(dataset, jobs=N)`` returns
 results indistinguishable from ``jobs=1`` — same lists in the same order,

@@ -11,20 +11,20 @@ reassembly is exact.  Two arguments carry it:
   the log to jump back in time across a shard boundary by more than the
   transport-skew slack, or a drop whose reason is context-dependent).
 * **State replay** (IS-IS): decoding is context-free and sharded; the
-  stateful part — LSDB acceptance and reachability diffing — is replayed
-  in the parent over the workers' compact records, through a state
-  machine equivalent to :class:`repro.isis.listener.IsisListener`.
+  stateful part — LSDB acceptance and reachability diffing — runs in
+  the parent, which feeds the workers' compact records in record order
+  to :meth:`repro.isis.listener.IsisListener.observe_compact`, the same
+  machine the sequential replay drives.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.faults.ledger import CHANNEL_ISIS, CHANNEL_SYSLOG, IngestReport
-from repro.isis.listener import ReachabilityChange, ReachabilityKind
-from repro.isis.lsp import LinkStatePacket
+from repro.isis.compact import CompactLsp, decode_compact
+from repro.isis.listener import IsisListener, ReachabilityChange
 from repro.parallel.sharding import LogSegment
-from repro.parallel.workers import CompactLsp
 from repro.syslog.collector import CollectedEntry, ParsedSegment, SyslogCollector
 from repro.util.timefmt import _YEAR_RESOLUTION_SLACK
 
@@ -110,15 +110,14 @@ def merge_parsed_segments(
     return entries
 
 
-def replay_compact_records(
-    compact: Sequence[CompactLsp],
-    errors: Sequence[Tuple[int, str]],
+def replay_lsp_shards(
+    shards: Sequence[Tuple[List[CompactLsp], List[Tuple[int, str]]]],
     raw_records: Sequence[Tuple[float, bytes]],
     *,
     strict: bool = True,
     report: Optional[IngestReport] = None,
 ) -> Tuple[List[ReachabilityChange], int]:
-    """Replay sharded decode output through a listener-equivalent machine.
+    """Replay decode shards, in record order, through one listener.
 
     Returns ``(changes, rejected_count)`` exactly as
     :func:`repro.core.extract_isis.replay_lsp_records` would.  In strict
@@ -126,88 +125,20 @@ def replay_compact_records(
     exception (type, message, traceback origin) is raised, not a
     description of it.
     """
-    ordered_errors = sorted(errors)
-    if ordered_errors:
-        first_index, first_message = ordered_errors[0]
-        if strict:
-            LinkStatePacket.unpack(raw_records[first_index][1])
-            raise ValueError(first_message)
-        if report is not None:
-            for index, message in ordered_errors:
-                report.record(
-                    CHANNEL_ISIS, "lsp-decode", index=index, sample=message
-                )
-
-    # Listener-equivalent state: per origin, the stored fragments keyed
-    # by (pseudonode, fragment) — the tail of the LspId sort key, since
-    # all of one origin's fragments share its system ID — and the
-    # last-diffed aggregate reachability.
-    fragments_by_origin: Dict[
-        str, Dict[Tuple[int, int], CompactLsp]
-    ] = {}
-    origin_state: Dict[
-        str, Tuple[FrozenSet[str], FrozenSet[Tuple[int, int]]]
-    ] = {}
-    changes: List[ReachabilityChange] = []
-    rejected = 0
-
-    for record in compact:
-        (time, origin, pseudonode, fragment, sequence, purge, _, _) = record
-        fragments = fragments_by_origin.setdefault(origin, {})
-        stored = fragments.get((pseudonode, fragment))
-        if stored is not None:
-            stored_sequence, stored_purge = stored[4], stored[5]
-            if sequence < stored_sequence:
-                rejected += 1
-                continue
-            if sequence == stored_sequence and not (
-                purge and not stored_purge
-            ):
-                rejected += 1
-                continue
-        fragments[(pseudonode, fragment)] = record
-
-        if purge:
-            new_is: FrozenSet[str] = frozenset()
-            new_ip: FrozenSet[Tuple[int, int]] = frozenset()
-        else:
-            neighbors: Set[str] = set()
-            prefixes: Set[Tuple[int, int]] = set()
-            for key in sorted(fragments):
-                stored_record = fragments[key]
-                neighbors.update(stored_record[6])
-                prefixes.update(stored_record[7])
-            new_is = frozenset(neighbors)
-            new_ip = frozenset(prefixes)
-
-        previous = origin_state.get(origin)
-        origin_state[origin] = (new_is, new_ip)
-        if previous is None:
-            # First contact seeds the view silently, as the listener does.
-            continue
-        previous_is, previous_ip = previous
-        for neighbor_id in sorted(previous_is - new_is):
-            changes.append(
-                ReachabilityChange(
-                    time, origin, ReachabilityKind.IS, "down", neighbor_id
-                )
+    errors = sorted(
+        error for _, shard_errors in shards for error in shard_errors
+    )
+    if errors and strict:
+        first_index, first_message = errors[0]
+        decode_compact(*raw_records[first_index])
+        raise ValueError(first_message)
+    if report is not None:
+        for index, message in errors:
+            report.record(
+                CHANNEL_ISIS, "lsp-decode", index=index, sample=message
             )
-        for neighbor_id in sorted(new_is - previous_is):
-            changes.append(
-                ReachabilityChange(
-                    time, origin, ReachabilityKind.IS, "up", neighbor_id
-                )
-            )
-        for prefix in sorted(previous_ip - new_ip):
-            changes.append(
-                ReachabilityChange(
-                    time, origin, ReachabilityKind.IP, "down", prefix
-                )
-            )
-        for prefix in sorted(new_ip - previous_ip):
-            changes.append(
-                ReachabilityChange(
-                    time, origin, ReachabilityKind.IP, "up", prefix
-                )
-            )
-    return changes, rejected
+    listener = IsisListener()
+    for compact, _ in shards:
+        for record in compact:
+            listener.observe_compact(record)
+    return listener.changes, listener.rejected_count

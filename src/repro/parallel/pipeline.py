@@ -7,10 +7,10 @@
    to one process pool up front, so the two channels decode concurrently
    as well as sharded.
 2. **Fold** (parent) — segment parses fold left-to-right under the
-   context re-parse rule; compact LSP records replay through the
-   listener-equivalent state machine.  Strict-mode errors surface here,
-   in the sequential run's order: syslog parse errors first, then LSP
-   decode errors.
+   context re-parse rule; compact LSP records replay, in record order,
+   through the one :class:`~repro.isis.listener.IsisListener`.
+   Strict-mode errors surface here, in the sequential run's order:
+   syslog parse errors first, then LSP decode errors.
 
 Everything after ingest runs in the parent, through the same code as the
 sequential path.  Workers only ever see picklable value objects; the
@@ -23,14 +23,11 @@ from concurrent.futures import Future, ProcessPoolExecutor
 from typing import List, Optional, Tuple
 
 from repro.faults.ledger import IngestReport
+from repro.isis.compact import CompactLsp
 from repro.isis.listener import ReachabilityChange
-from repro.parallel.merge import merge_parsed_segments, replay_compact_records
+from repro.parallel.merge import merge_parsed_segments, replay_lsp_shards
 from repro.parallel.sharding import index_ranges, segment_log_text
-from repro.parallel.workers import (
-    CompactLsp,
-    decode_lsp_shard,
-    parse_syslog_shard,
-)
+from repro.parallel.workers import decode_lsp_shard, parse_syslog_shard
 from repro.simulation.dataset import Dataset
 from repro.syslog.collector import CollectedEntry
 
@@ -90,18 +87,9 @@ def ingest_sharded(
             report=report,
             ingest=ingest,
         )
-        compact: List[CompactLsp] = []
-        decode_errors: List[Tuple[int, str]] = []
-        for future in lsp_futures:
-            shard_compact, shard_errors = future.result()
-            compact.extend(shard_compact)
-            decode_errors.extend(shard_errors)
+        lsp_shards = [future.result() for future in lsp_futures]
 
-    changes, rejected = replay_compact_records(
-        compact,
-        decode_errors,
-        dataset.lsp_records,
-        strict=strict,
-        report=report,
+    changes, rejected = replay_lsp_shards(
+        lsp_shards, dataset.lsp_records, strict=strict, report=report
     )
     return entries, changes, rejected

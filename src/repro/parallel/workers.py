@@ -2,9 +2,8 @@
 
 Everything here must be importable at module top level (process pools
 pickle functions by qualified name) and must communicate through small,
-cheaply picklable values: the LSP decode stage in particular returns
-compact tuples rather than :class:`~repro.isis.lsp.LinkStatePacket`
-objects, whose pickling costs more than decoding them again would.
+cheaply picklable values: the LSP decode stage returns the listener's
+own compact records (:data:`repro.isis.compact.CompactLsp`).
 
 Workers are deliberately context-free: a syslog shard is parsed without
 knowing what came before it, and a decode shard knows nothing of the
@@ -16,25 +15,11 @@ what makes the results reproducible regardless of worker scheduling.
 from __future__ import annotations
 
 import struct
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.faults.ledger import IngestReport
-from repro.isis.lsp import LinkStatePacket
+from repro.isis.compact import CompactLsp, decode_compact
 from repro.syslog.collector import ParsedSegment, SyslogCollector
-
-#: A decoded LSP reduced to what the listener replay consumes:
-#: ``(time, system_id, pseudonode, fragment, sequence_number, is_purge,
-#: neighbor_system_ids, (prefix, prefix_length) pairs)``.
-CompactLsp = Tuple[
-    float,
-    str,
-    int,
-    int,
-    int,
-    bool,
-    Tuple[str, ...],
-    Tuple[Tuple[int, int], ...],
-]
 
 
 def parse_syslog_shard(
@@ -69,34 +54,20 @@ def parse_syslog_shard(
 def decode_lsp_shard(
     records: List[Tuple[float, bytes]], start_index: int
 ) -> Tuple[List[CompactLsp], List[Tuple[int, str]]]:
-    """Decode one range of LSP records into compact replay tuples.
+    """Decode one range of LSP records with :func:`decode_compact`.
 
     Returns ``(compact_records, errors)`` where ``errors`` carries
     ``(global_record_index, message)`` for every undecodable record —
     the parent decides (by mode) whether those become ledger entries or
-    the run's first exception.
+    the run's first exception, then replays the records through the one
+    :class:`~repro.isis.listener.IsisListener`.
     """
+    system_ids: Dict[bytes, str] = {}
     compact: List[CompactLsp] = []
     errors: List[Tuple[int, str]] = []
     for position, (time, raw) in enumerate(records):
         try:
-            lsp = LinkStatePacket.unpack(raw)
+            compact.append(decode_compact(time, raw, system_ids))
         except (ValueError, struct.error) as error:
             errors.append((start_index + position, str(error)))
-            continue
-        compact.append(
-            (
-                time,
-                lsp.lsp_id.system_id,
-                lsp.lsp_id.pseudonode,
-                lsp.lsp_id.fragment,
-                lsp.sequence_number,
-                lsp.is_purge(),
-                tuple(neighbor.system_id for neighbor in lsp.is_neighbors),
-                tuple(
-                    (prefix.prefix, prefix.prefix_length)
-                    for prefix in lsp.ip_prefixes
-                ),
-            )
-        )
     return compact, errors

@@ -17,7 +17,10 @@ not background noise.
 * S404 — a new function calling the flap phase from a module no
   execution mode reaches;
 * S405 — a re-grown private twin registered for an engine-core phase:
-  the sink-reachability and one-implementation checks both fire;
+  the sink-reachability and one-implementation checks both fire; and a
+  second IS-IS replay loop planted in ``parallel/merge.py``, found by
+  the reachability changes it builds outside the listener;
+* S401 — the service's registered absence from IS-IS ingest removed;
 * A501/A502/A503 — the rename-atomic discipline severed in
   ``service/files.py``, a bare truncating write and an f-string ledger
   reason injected into ``service/worker.py``.
@@ -39,6 +42,7 @@ FLAPPING_PATH = SRC / "repro" / "core" / "flapping.py"
 STATS_PATH = SRC / "repro" / "core" / "statistics.py"
 FILES_PATH = SRC / "repro" / "service" / "files.py"
 WORKER_PATH = SRC / "repro" / "service" / "worker.py"
+MERGE_PATH = SRC / "repro" / "parallel" / "merge.py"
 
 
 def src_modules(replaced_path: Path, replaced_text: str):
@@ -300,6 +304,67 @@ def test_regrown_twin_correspondence_trips_s405(monkeypatch):
     assert hits, "S405 should fire on the re-grown twin"
     assert any("never reaches the phase sink" in f.message for f in hits)
     assert any("distinct" in f.message for f in hits)
+
+
+INJECTED_REPLAY_TWIN = '''
+def _injected_replay_twin(shards):
+    from repro.isis.listener import ReachabilityChange, ReachabilityKind
+    state = {}
+    changes = []
+    for compact, _ in shards:
+        for time, origin, _, _, _, _, _, neighbors, _ in compact:
+            previous = state.get(origin)
+            state[origin] = frozenset(neighbors)
+            if previous is None:
+                continue
+            for neighbor_id in sorted(previous - state[origin]):
+                changes.append(
+                    ReachabilityChange(
+                        time, origin, ReachabilityKind.IS, "down", neighbor_id
+                    )
+                )
+    return changes
+'''
+
+
+def test_planted_second_replay_loop_trips_s405():
+    """A hand-written reachability differ next to the listener — the
+    twin ``replay_compact_records`` once was — makes the parallel mode
+    resolve IS-IS ingest to two implementations."""
+    source = MERGE_PATH.read_text(encoding="utf-8")
+    old_return = "return listener.changes, listener.rejected_count"
+    assert source.count(old_return) == 1
+    drifted = append_source(
+        source.replace(
+            old_return,
+            "return _injected_replay_twin(shards), listener.rejected_count",
+        ),
+        INJECTED_REPLAY_TWIN,
+    )
+    modules = src_modules(MERGE_PATH, drifted)
+    hits = run_rule("S405", modules, MERGE_PATH)
+    assert hits, "S405 should fire on the second replay loop"
+    assert any(
+        "`parallel`" in f.message
+        and "`isis-ingest`" in f.message
+        and "_injected_replay_twin" in f.message
+        for f in hits
+    )
+    assert run_rule("S405", src_modules(MERGE_PATH, source), MERGE_PATH) == []
+
+
+def test_unregistered_service_absence_trips_s401(monkeypatch):
+    """The service never reaches IS-IS ingest only by registration."""
+    import repro.devtools.spine as spine
+
+    assert ("service", "isis-ingest") in spine.ABSENT_PHASES
+    monkeypatch.setattr(spine, "ABSENT_PHASES", {})
+    modules = src_modules(WORKER_PATH, WORKER_PATH.read_text("utf-8"))
+    hits = run_rule("S401", modules, WORKER_PATH)
+    assert any(
+        "`service`" in f.message and "`isis-ingest`" in f.message
+        for f in hits
+    )
 
 
 # ------------------------------------------------------------- A501

@@ -1,5 +1,6 @@
 """Tests for the passive listener's reachability diffing and the dump codec."""
 
+import dataclasses
 import io
 
 import pytest
@@ -113,6 +114,31 @@ class TestListener:
         listener.observe_bytes(0.0, lsp(1, [NEIGHBOR]).pack())
         changes = listener.observe_bytes(5.0, lsp(2, []).pack())
         assert len(changes) == 1
+
+    def test_fragments_aggregate_per_origin(self):
+        """A neighbor withdrawn from one fragment but still advertised in
+        another is no change; stale fragments are rejected per key."""
+
+        def fragment(seq, neighbors, number):
+            return dataclasses.replace(
+                lsp(seq, neighbors),
+                lsp_id=LspId("0000.0000.0001", 0, number),
+            )
+
+        other = "0000.0000.0003"
+        listener = IsisListener()
+        assert listener.observe(0.0, fragment(1, [NEIGHBOR], 0)) == []
+        changes = listener.observe(1.0, fragment(1, [NEIGHBOR, other], 1))
+        assert [(c.direction, c.target) for c in changes] == [("up", other)]
+        assert listener.observe(2.0, fragment(2, [], 0)) == []
+        changes = listener.observe(3.0, fragment(2, [], 1))
+        assert [(c.direction, c.target) for c in changes] == [
+            ("down", NEIGHBOR),
+            ("down", other),
+        ]
+        assert listener.observe(4.0, fragment(1, [NEIGHBOR], 1)) == []
+        assert listener.rejected_count == 1
+        assert listener.current_is_neighbors("0000.0000.0001") == frozenset()
 
     def test_multi_origin_views_are_independent(self):
         listener = IsisListener()

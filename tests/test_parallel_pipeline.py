@@ -16,7 +16,7 @@ from repro.core.extract_isis import replay_lsp_records
 from repro.faults.ledger import CHANNEL_SYSLOG, IngestReport
 from repro.parallel.merge import (
     merge_parsed_segments,
-    replay_compact_records,
+    replay_lsp_shards,
     segment_needs_reparse,
 )
 from repro.parallel.sharding import (
@@ -282,20 +282,20 @@ class TestContextReparse:
         assert ledger.last.sample == "garbage two"
 
 
+def decode_shards(records, shard_count):
+    return [
+        decode_lsp_shard(records[start:stop], start)
+        for start, stop in index_ranges(len(records), shard_count)
+    ]
+
+
 class TestCompactReplay:
     def test_replay_matches_listener(self, small_dataset):
         records = small_dataset.lsp_records
         listener, changes = replay_lsp_records(records)
-        compact = []
-        errors = []
-        for start, stop in index_ranges(len(records), 4):
-            shard_compact, shard_errors = decode_lsp_shard(
-                records[start:stop], start
-            )
-            compact.extend(shard_compact)
-            errors.extend(shard_errors)
-        assert not errors
-        replayed, rejected = replay_compact_records(compact, errors, records)
+        shards = decode_shards(records, 4)
+        assert not [error for _, errors in shards for error in errors]
+        replayed, rejected = replay_lsp_shards(shards, records)
         assert replayed == changes
         assert rejected == listener.rejected_count
 
@@ -307,17 +307,12 @@ class TestCompactReplay:
         _, changes = replay_lsp_records(
             records, strict=False, report=sequential_report
         )
-        compact = []
-        errors = []
-        for start, stop in index_ranges(len(records), 3):
-            shard_compact, shard_errors = decode_lsp_shard(
-                records[start:stop], start
-            )
-            compact.extend(shard_compact)
-            errors.extend(shard_errors)
         sharded_report = IngestReport()
-        replayed, _ = replay_compact_records(
-            compact, errors, records, strict=False, report=sharded_report
+        replayed, _ = replay_lsp_shards(
+            decode_shards(records, 3),
+            records,
+            strict=False,
+            report=sharded_report,
         )
         assert replayed == changes
         assert sharded_report.to_json() == sequential_report.to_json()
@@ -331,16 +326,9 @@ class TestCompactReplay:
         records[40] = (time, raw[: len(raw) // 2])
         with pytest.raises(Exception) as sequential:
             replay_lsp_records(records, strict=True)
-        compact = []
-        errors = []
-        for start, stop in index_ranges(len(records), 3):
-            shard_compact, shard_errors = decode_lsp_shard(
-                records[start:stop], start
-            )
-            compact.extend(shard_compact)
-            errors.extend(shard_errors)
+        shards = decode_shards(records, 3)
         with pytest.raises(Exception) as sharded:
-            replay_compact_records(compact, errors, records, strict=True)
+            replay_lsp_shards(shards, records, strict=True)
         assert type(sharded.value) is type(sequential.value)
         assert str(sharded.value) == str(sequential.value)
 
