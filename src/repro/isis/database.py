@@ -26,16 +26,10 @@ class StoredLsp:
 
 
 class LinkStateDatabase:
-    """Newest-LSP-wins store keyed by LSP ID.
-
-    Besides the flat store, a per-origin index maps each system ID to its
-    stored fragments, so :meth:`lsps_of` never touches — let alone sorts —
-    the other origins' entries.
-    """
+    """Newest-LSP-wins store keyed by LSP ID."""
 
     def __init__(self) -> None:
         self._entries: Dict[LspId, StoredLsp] = {}
-        self._by_origin: Dict[str, Dict[LspId, StoredLsp]] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -61,9 +55,7 @@ class LinkStateDatabase:
                 is_fresher_purge = lsp.is_purge() and not stored.lsp.is_purge()
                 if not is_fresher_purge:
                     return False
-        entry = StoredLsp(lsp=lsp, arrival_time=arrival_time)
-        self._entries[lsp.lsp_id] = entry
-        self._by_origin.setdefault(lsp.lsp_id.system_id, {})[lsp.lsp_id] = entry
+        self._entries[lsp.lsp_id] = StoredLsp(lsp=lsp, arrival_time=arrival_time)
         return True
 
     def expire(self, now: float) -> List[LspId]:
@@ -84,11 +76,6 @@ class LinkStateDatabase:
 
     def remove(self, lsp_id: LspId) -> None:
         self._entries.pop(lsp_id, None)
-        fragments = self._by_origin.get(lsp_id.system_id)
-        if fragments is not None:
-            fragments.pop(lsp_id, None)
-            if not fragments:
-                del self._by_origin[lsp_id.system_id]
 
     def origins(self) -> List[str]:
         """System IDs with at least one stored non-purge LSP."""
@@ -99,13 +86,6 @@ class LinkStateDatabase:
                 if not stored.lsp.is_purge()
             }
         )
-
-    def lsps_of(self, system_id: str) -> List[LinkStatePacket]:
-        """All stored fragments originated by ``system_id``, fragment order."""
-        fragments = self._by_origin.get(system_id)
-        if not fragments:
-            return []
-        return [fragments[lsp_id].lsp for lsp_id in sorted(fragments)]
 
     def __iter__(self) -> Iterator[StoredLsp]:
         return iter(self._entries.values())

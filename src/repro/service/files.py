@@ -21,9 +21,12 @@ from typing import Any, Dict, Optional
 def write_json_atomic(path: "str | os.PathLike[str]", document: Dict[str, Any]) -> None:
     """Write ``document`` to ``path`` so readers never see a torn file."""
     target = os.fspath(path)
+    # One C-encoder pass; ``json.dump`` streams through the pure-Python
+    # iterencode, and heartbeats carry the whole drop ledger every beat.
+    text = json.dumps(document, separators=(",", ":"))
     temp_path = f"{target}.tmp"
     with open(temp_path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, separators=(",", ":"))
+        handle.write(text)
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(temp_path, target)

@@ -10,6 +10,14 @@ restored engine is value-identical to the checkpointed one and the
 resumed stream finishes with byte-identical results; the test suite cuts
 streams at arbitrary points to enforce this.
 
+One :class:`~repro.core.events.FailureEvent` object is usually held by
+several machines at once: the raw list, the sanitiser's report, the
+matcher's per-link lists and its decisions.  The document therefore
+carries a single ``failures`` table, each distinct failure encoded once,
+and every list of failures is a list of indices into it.  Decoding
+resolves the indices against one decoded table, so the restored engine
+shares failure objects across its machines exactly as the live one did.
+
 The document also records how many events the engine had consumed.
 Event delivery is deterministic (the merge's tie-breaks are fixed), so
 resuming is simply: rebuild the engine, skip that many events, continue.
@@ -21,7 +29,7 @@ import json
 import math
 import os
 from collections import deque
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.core.events import FailureEvent, LinkMessage, Transition
 from repro.core.flapping import FlapEpisode
@@ -36,7 +44,7 @@ from repro.intervals.timeline import AmbiguityStrategy, LinkState
 from repro.ticketing import TicketSystem
 
 #: Bumped whenever the checkpoint layout changes incompatibly.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointError(Exception):
@@ -168,6 +176,42 @@ def _decode_watermark(raw: Optional[float]) -> float:
     return -math.inf if raw is None else raw
 
 
+# ------------------------------------------------------------ failure table
+class _FailureTable:
+    """Each distinct failure object, encoded once and keyed by identity.
+
+    Every failure is alive in the engine while the document is built, so
+    ``id()`` cannot be reused by another object mid-encode.
+    """
+
+    def __init__(self) -> None:
+        self.slots: Dict[int, int] = {}
+        self.encoded: List[Any] = []
+
+    def ref(self, failure: FailureEvent) -> int:
+        slot = self.slots.get(id(failure))
+        if slot is None:
+            slot = self.slots[id(failure)] = len(self.encoded)
+            self.encoded.append(encode_failure(failure))
+        return slot
+
+    def refs(self, failures: Iterable[FailureEvent]) -> List[int]:
+        return [self.ref(failure) for failure in failures]
+
+
+def _resolve(failures: List[FailureEvent], refs: List[Any]) -> List[FailureEvent]:
+    """The table entries ``refs`` name; a bad reference is structural damage."""
+    resolved: List[FailureEvent] = []
+    for ref in refs:
+        if type(ref) is not int or not 0 <= ref < len(failures):
+            raise CheckpointError(
+                f"checkpoint structure invalid: failure reference {ref!r} "
+                f"outside the {len(failures)}-entry table"
+            )
+        resolved.append(failures[ref])
+    return resolved
+
+
 # ----------------------------------------------------------- options codec
 def encode_options(options: "StreamOptions") -> Dict[str, Any]:  # noqa: F821
     analysis = options.analysis
@@ -223,6 +267,7 @@ def encode_engine(engine: "StreamEngine") -> Dict[str, Any]:  # noqa: F821
 
     if engine.finished:
         raise CheckpointError("a finished engine cannot be checkpointed")
+    table = _FailureTable()
     return {
         "version": CHECKPOINT_VERSION,
         "options": encode_options(engine.options),
@@ -236,22 +281,23 @@ def encode_engine(engine: "StreamEngine") -> Dict[str, Any]:  # noqa: F821
         },
         "timelines": {
             channel: {
-                link: _encode_timeline(timeline)
+                link: _encode_timeline(timeline, table)
                 for link, timeline in sorted(engine.timelines[channel].items())
             }
             for channel in (SYSLOG_CHANNEL, ISIS_CHANNEL)
         },
         "sanitizers": {
-            channel: _encode_sanitizer(engine.sanitizers[channel])
+            channel: _encode_sanitizer(engine.sanitizers[channel], table)
             for channel in (SYSLOG_CHANNEL, ISIS_CHANNEL)
         },
-        "matcher": _encode_matcher(engine.matcher),
+        "matcher": _encode_matcher(engine.matcher, table),
         "coverage": _encode_coverage(engine.coverage),
         "flaps": _encode_flaps(engine.flaps),
         "raw_failures": {
-            channel: [encode_failure(f) for f in engine.raw_failures[channel]]
+            channel: table.refs(engine.raw_failures[channel])
             for channel in (SYSLOG_CHANNEL, ISIS_CHANNEL)
         },
+        "failures": table.encoded,
     }
 
 
@@ -279,6 +325,7 @@ def decode_engine(
     # typed CheckpointError the caller can fall back from, never as a
     # bare KeyError/TypeError deep inside a codec.
     try:
+        failures = [decode_failure(f) for f in state["failures"]]
         engine = StreamEngine(
             resolver,
             state["horizon_start"],
@@ -295,15 +342,15 @@ def decode_engine(
         for channel in (SYSLOG_CHANNEL, ISIS_CHANNEL):
             for link, raw_timeline in state["timelines"][channel].items():
                 engine.timelines[channel][link] = _decode_timeline(
-                    engine, channel, link, raw_timeline
+                    engine, channel, link, raw_timeline, failures
                 )
             _decode_sanitizer(
-                engine.sanitizers[channel], state["sanitizers"][channel]
+                engine.sanitizers[channel], state["sanitizers"][channel], failures
             )
-            engine.raw_failures[channel] = [
-                decode_failure(f) for f in state["raw_failures"][channel]
-            ]
-        _decode_matcher(engine.matcher, state["matcher"])
+            engine.raw_failures[channel] = _resolve(
+                failures, state["raw_failures"][channel]
+            )
+        _decode_matcher(engine.matcher, state["matcher"], failures)
         _decode_coverage(engine.coverage, state["coverage"])
         _decode_flaps(engine.flaps, state["flaps"])
     except CheckpointError:
@@ -334,25 +381,57 @@ def _decode_merger(
         merger.open_runs[link] = [decode_message(m) for m in run]
 
 
-def _encode_sanitizer(sanitizer: "Sanitizer") -> Dict[str, Any]:  # noqa: F821
+def _encode_sanitizer(
+    sanitizer: "Sanitizer", table: _FailureTable  # noqa: F821
+) -> Dict[str, Any]:
     return {
-        "report": encode_report(sanitizer.report),
+        "report": _encode_report_refs(sanitizer.report, table),
         "held": {
-            link: [encode_failure(f) for f in queue]
+            link: table.refs(queue)
             for link, queue in sorted(sanitizer.held.items())
         },
     }
 
 
 def _decode_sanitizer(
-    sanitizer: "Sanitizer", raw: Dict[str, Any]  # noqa: F821
+    sanitizer: "Sanitizer",  # noqa: F821
+    raw: Dict[str, Any],
+    failures: List[FailureEvent],
 ) -> None:
-    sanitizer.report = decode_report(raw["report"])
+    sanitizer.report = _decode_report_refs(raw["report"], failures)
     for link, queue in raw["held"].items():
-        sanitizer.held[link] = deque(decode_failure(f) for f in queue)
+        sanitizer.held[link] = deque(_resolve(failures, queue))
 
 
-def _encode_timeline(timeline: "TimelineBuilder") -> Dict[str, Any]:  # noqa: F821
+def _encode_report_refs(
+    report: SanitizationReport, table: _FailureTable
+) -> Dict[str, Any]:
+    return {
+        "kept": table.refs(report.kept),
+        "removed_listener_overlap": table.refs(report.removed_listener_overlap),
+        "removed_unverified_long": table.refs(report.removed_unverified_long),
+        "verified_long": table.refs(report.verified_long),
+    }
+
+
+def _decode_report_refs(
+    raw: Dict[str, Any], failures: List[FailureEvent]
+) -> SanitizationReport:
+    report = SanitizationReport()
+    report.kept = _resolve(failures, raw["kept"])
+    report.removed_listener_overlap = _resolve(
+        failures, raw["removed_listener_overlap"]
+    )
+    report.removed_unverified_long = _resolve(
+        failures, raw["removed_unverified_long"]
+    )
+    report.verified_long = _resolve(failures, raw["verified_long"])
+    return report
+
+
+def _encode_timeline(
+    timeline: "TimelineBuilder", table: _FailureTable  # noqa: F821
+) -> Dict[str, Any]:
     return {
         "cursor": timeline.cursor,
         "state": timeline.state.value,
@@ -367,7 +446,7 @@ def _encode_timeline(timeline: "TimelineBuilder") -> Dict[str, Any]:  # noqa: F8
             for (time, direction), transition in sorted(timeline.index.items())
         ],
         "anomaly_count": timeline.anomaly_count,
-        "emitted": [encode_failure(f) for f in timeline.emitted],
+        "emitted": table.refs(timeline.emitted),
         "flushed": timeline.flushed,
     }
 
@@ -377,6 +456,7 @@ def _decode_timeline(
     channel: str,
     link: str,
     raw: Dict[str, Any],
+    failures: List[FailureEvent],
 ) -> "TimelineBuilder":  # noqa: F821
     from repro.core.events import SOURCE_ISIS_IS, SOURCE_SYSLOG
     from repro.stream.sources import SYSLOG_CHANNEL
@@ -405,26 +485,26 @@ def _decode_timeline(
         for time, direction, transition in raw["index"]
     }
     timeline.anomaly_count = raw["anomaly_count"]
-    timeline.emitted = [decode_failure(f) for f in raw["emitted"]]
+    timeline.emitted = _resolve(failures, raw["emitted"])
     timeline.flushed = raw["flushed"]
     return timeline
 
 
-def _encode_matcher(matcher: "Matcher") -> Dict[str, Any]:  # noqa: F821
+def _encode_matcher(
+    matcher: "Matcher", table: _FailureTable  # noqa: F821
+) -> Dict[str, Any]:
     return {
-        "pairs": [
-            [encode_failure(fa), encode_failure(fb)] for fa, fb in matcher.pairs
-        ],
-        "only_a": [encode_failure(f) for f in matcher.only_a],
-        "only_b": [encode_failure(f) for f in matcher.only_b],
-        "partial_a": [encode_failure(f) for f in matcher.partial_a],
-        "partial_b": [encode_failure(f) for f in matcher.partial_b],
+        "pairs": [[table.ref(fa), table.ref(fb)] for fa, fb in matcher.pairs],
+        "only_a": table.refs(matcher.only_a),
+        "only_b": table.refs(matcher.only_b),
+        "partial_a": table.refs(matcher.partial_a),
+        "partial_b": table.refs(matcher.partial_b),
         "links": {
             link: {
                 "a_pending": len(state.a_pending),
                 "b_pending": list(state.b_pending),
-                "a_all": [encode_failure(f) for f in state.a_all],
-                "b_all": [encode_failure(f) for f in state.b_all],
+                "a_all": table.refs(state.a_all),
+                "b_all": table.refs(state.b_all),
                 "b_consumed": list(state.b_consumed),
             }
             for link, state in sorted(matcher.links.items())
@@ -433,19 +513,20 @@ def _encode_matcher(matcher: "Matcher") -> Dict[str, Any]:  # noqa: F821
 
 
 def _decode_matcher(
-    matcher: "Matcher", raw: Dict[str, Any]  # noqa: F821
+    matcher: "Matcher",  # noqa: F821
+    raw: Dict[str, Any],
+    failures: List[FailureEvent],
 ) -> None:
-    matcher.pairs = [
-        (decode_failure(fa), decode_failure(fb)) for fa, fb in raw["pairs"]
-    ]
-    matcher.only_a = [decode_failure(f) for f in raw["only_a"]]
-    matcher.only_b = [decode_failure(f) for f in raw["only_b"]]
-    matcher.partial_a = [decode_failure(f) for f in raw["partial_a"]]
-    matcher.partial_b = [decode_failure(f) for f in raw["partial_b"]]
+    pairs = [_resolve(failures, pair) for pair in raw["pairs"]]
+    matcher.pairs = [(fa, fb) for fa, fb in pairs]
+    matcher.only_a = _resolve(failures, raw["only_a"])
+    matcher.only_b = _resolve(failures, raw["only_b"])
+    matcher.partial_a = _resolve(failures, raw["partial_a"])
+    matcher.partial_b = _resolve(failures, raw["partial_b"])
     for link, raw_state in raw["links"].items():
         state = matcher._state(link)
-        state.a_all = [decode_failure(f) for f in raw_state["a_all"]]
-        state.b_all = [decode_failure(f) for f in raw_state["b_all"]]
+        state.a_all = _resolve(failures, raw_state["a_all"])
+        state.b_all = _resolve(failures, raw_state["b_all"])
         state.b_consumed = list(raw_state["b_consumed"])
         # a_pending is always the trailing slice of a_all (decisions pop
         # from the front in arrival order), so its length suffices.
@@ -518,10 +599,12 @@ def save_checkpoint(path: str, engine: "StreamEngine") -> None:  # noqa: F821
     place, so a crash mid-write (the exact scenario checkpoints exist
     for) leaves the previous checkpoint intact rather than a torn file.
     """
-    document = engine.checkpoint_state()
+    # One C-encoder pass: ``json.dump`` would stream the document through
+    # the pure-Python iterencode, several times slower on a large engine.
+    text = json.dumps(engine.checkpoint_state(), separators=(",", ":"))
     temp_path = f"{path}.tmp"
     with open(temp_path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, separators=(",", ":"))
+        handle.write(text)
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(temp_path, path)

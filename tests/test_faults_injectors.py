@@ -50,11 +50,16 @@ from repro.isis.mrt import (
     MrtDumpWriter,
     MrtFormatError,
 )
+from repro.core.events import SOURCE_SYSLOG, FailureEvent
 from repro.stream.checkpoint import (
+    CHECKPOINT_VERSION,
     CheckpointError,
     decode_engine,
+    encode_failure,
     load_checkpoint,
 )
+from repro.stream.engine import StreamEngine
+from repro.stream.sources import SYSLOG_CHANNEL
 from repro.syslog.message import SyslogMessage
 from repro.util.rand import child_rng
 
@@ -90,7 +95,9 @@ class TestInjectorDeterminism:
 
     def test_all_injectors_are_deterministic(self):
         log, archive = sample_log(), build_archive()
-        checkpoint = json.dumps({"version": 1, "state": list(range(64))}).encode()
+        checkpoint = json.dumps(
+            {"version": CHECKPOINT_VERSION, "state": list(range(64))}
+        ).encode()
         runs = {
             "garbage": lambda r: inject_garbage_lines(log, r),
             "log-truncate": lambda r: truncate_log_lines(log, r),
@@ -189,7 +196,9 @@ class TestMrtInjectors:
 
 
 class TestCheckpointInjector:
-    DOC = json.dumps({"version": 1, "payload": "x" * 600}).encode("ascii")
+    DOC = json.dumps(
+        {"version": CHECKPOINT_VERSION, "payload": "x" * 600}
+    ).encode("ascii")
 
     def test_truncate_is_a_proper_prefix(self):
         damaged = corrupt_checkpoint(self.DOC, rng(), "truncate")
@@ -378,12 +387,13 @@ class TestCheckpointHardening:
         return excinfo.value
 
     def test_truncated_json_names_the_file_and_the_cause(self, tmp_path):
-        error = self._load_error(tmp_path, b'{"version": 1, "opts"')
+        raw = f'{{"version": {CHECKPOINT_VERSION}, "opts"'.encode()
+        error = self._load_error(tmp_path, raw)
         assert "not valid JSON" in str(error)
 
     def test_every_injected_corruption_mode_raises_typed(self, tmp_path):
         document = json.dumps(
-            {"version": 1, "payload": list(range(200))}
+            {"version": CHECKPOINT_VERSION, "payload": list(range(200))}
         ).encode("ascii")
         for mode in CHECKPOINT_MODES:
             damaged = corrupt_checkpoint(document, rng(f"ck-{mode}"), mode)
@@ -401,11 +411,65 @@ class TestCheckpointHardening:
         # Version-tagged but hollow: the KeyError inside the codec must
         # surface as a CheckpointError, never leak raw.
         with pytest.raises(CheckpointError, match="structure invalid"):
-            decode_engine({"version": 1}, _StubResolver(), IntervalSet([]), None)
+            decode_engine(
+                {"version": CHECKPOINT_VERSION},
+                _StubResolver(),
+                IntervalSet([]),
+                None,
+            )
 
     def test_decode_engine_rejects_non_dict(self):
         with pytest.raises(CheckpointError, match="not an object"):
             decode_engine([1, 2], _StubResolver(), IntervalSet([]), None)
+
+    # The failure table: every failure list in the document is a list of
+    # indices into one top-level ``failures`` table.
+    @staticmethod
+    def _document():
+        """A real engine document whose raw syslog list names one failure."""
+        engine = StreamEngine(_StubResolver(), 0.0, 100.0, IntervalSet([]), None)
+        document = json.loads(json.dumps(engine.checkpoint_state()))
+        failure = FailureEvent(link="lk-a", start=1.0, end=2.0, source=SOURCE_SYSLOG)
+        document["failures"] = [encode_failure(failure)]
+        document["raw_failures"][SYSLOG_CHANNEL] = [0]
+        return document
+
+    @staticmethod
+    def _decode(document):
+        return decode_engine(document, _StubResolver(), IntervalSet([]), None)
+
+    def test_table_document_decodes(self):
+        engine = self._decode(self._document())
+        (failure,) = engine.raw_failures[SYSLOG_CHANNEL]
+        assert (failure.link, failure.start, failure.end) == ("lk-a", 1.0, 2.0)
+
+    @pytest.mark.parametrize("ref", [1, 7, -1, 0.0, "0", True, None, [0]])
+    def test_bad_failure_reference_is_structural(self, ref):
+        document = self._document()
+        document["raw_failures"][SYSLOG_CHANNEL] = [ref]
+        with pytest.raises(CheckpointError, match="structure invalid"):
+            self._decode(document)
+
+    @pytest.mark.parametrize("entry", [[1, 2], None, "x", 5, [None] * 6])
+    def test_malformed_table_entry_is_structural(self, entry):
+        document = self._document()
+        document["failures"] = [entry]
+        with pytest.raises(CheckpointError, match="structure invalid"):
+            self._decode(document)
+
+    def test_missing_table_is_structural(self):
+        document = self._document()
+        del document["failures"]
+        with pytest.raises(CheckpointError, match="structure invalid"):
+            self._decode(document)
+
+    def test_version_one_document_is_refused(self, tmp_path):
+        document = self._document()
+        document["version"] = 1
+        with pytest.raises(CheckpointError, match="version 1 is not supported"):
+            self._decode(document)
+        error = self._load_error(tmp_path, json.dumps(document).encode())
+        assert "version 1" in str(error)
 
 
 def test_injector_names_match_the_chaos_scenarios():

@@ -63,67 +63,19 @@ class TestLinkStateDatabase:
         expired = db.expire(now=101.0)
         assert expired == [LspId("0000.0000.0001")]
         assert len(db) == 0
-
-    def test_lsps_of_orders_fragments(self):
-        db = LinkStateDatabase()
-        frag1 = LinkStatePacket(
-            lsp_id=LspId("0000.0000.0001", fragment=1), sequence_number=1
-        )
-        frag0 = LinkStatePacket(
-            lsp_id=LspId("0000.0000.0001", fragment=0), sequence_number=1
-        )
-        db.consider(frag1, 0.0)
-        db.consider(frag0, 0.0)
-        fragments = db.lsps_of("0000.0000.0001")
-        assert [f.lsp_id.fragment for f in fragments] == [0, 1]
+        assert db.origins() == []
 
     def test_remove_is_idempotent(self):
         db = LinkStateDatabase()
         db.remove(LspId("0000.0000.0001"))  # no error
 
-    def test_lsps_of_isolates_origins(self):
-        # Regression: lsps_of must return only the named origin's fragments
-        # even when many origins are stored (the per-origin index must not
-        # leak entries across buckets).
-        db = LinkStateDatabase()
-        for sysid in ("0000.0000.0003", "0000.0000.0001", "0000.0000.0002"):
-            for fragment in (2, 0, 1):
-                db.consider(
-                    LinkStatePacket(
-                        lsp_id=LspId(sysid, fragment=fragment), sequence_number=1
-                    ),
-                    0.0,
-                )
-        for sysid in ("0000.0000.0001", "0000.0000.0002", "0000.0000.0003"):
-            fragments = db.lsps_of(sysid)
-            assert [f.lsp_id.system_id for f in fragments] == [sysid] * 3
-            assert [f.lsp_id.fragment for f in fragments] == [0, 1, 2]
-
-    def test_lsps_of_sees_replacement(self):
-        db = LinkStateDatabase()
-        db.consider(lsp(1), 0.0)
-        db.consider(lsp(2), 1.0)
-        fragments = db.lsps_of("0000.0000.0001")
-        assert [f.sequence_number for f in fragments] == [2]
-
-    def test_lsps_of_after_remove(self):
+    def test_remove_keeps_other_origins(self):
         db = LinkStateDatabase()
         db.consider(lsp(1, sysid="0000.0000.0001"), 0.0)
         db.consider(lsp(1, sysid="0000.0000.0002"), 0.0)
         db.remove(LspId("0000.0000.0001"))
-        assert db.lsps_of("0000.0000.0001") == []
-        assert len(db.lsps_of("0000.0000.0002")) == 1
-
-    def test_lsps_of_after_expiry(self):
-        # Regression: expiry must evict from the per-origin index too, not
-        # just the flat store.
-        db = LinkStateDatabase()
-        db.consider(lsp(1, lifetime=100), 0.0)
-        db.expire(now=101.0)
-        assert db.lsps_of("0000.0000.0001") == []
-
-    def test_lsps_of_unknown_origin_empty(self):
-        assert LinkStateDatabase().lsps_of("0000.0000.0009") == []
+        assert LspId("0000.0000.0001") not in db
+        assert db.origins() == ["0000.0000.0002"]
 
 
 class TestAdjacencyFsm:

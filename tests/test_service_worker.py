@@ -12,6 +12,7 @@ every degradation `run_worker` can hit.
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
@@ -243,6 +244,26 @@ class TestRunWorker:
             ]
             == 1
         )
+
+    def test_version_one_checkpoint_replays_from_zero(
+        self, tmp_path, service_profile_dir, corpus, clean, context
+    ):
+        # A checkpoint tagged version 1, as an older release leaves it:
+        # the worker refuses it by version as a typed corrupt checkpoint
+        # and replays the journal from byte zero.
+        state_dir = self._state_dir(tmp_path, corpus)
+        pipeline = TenantPipeline(context)
+        for line in corpus[: len(corpus) // 2]:
+            pipeline.feed_line(line)
+        document = pipeline.engine.checkpoint_state()
+        document["version"] = 1
+        (state_dir / CHECKPOINT_FILE).write_text(json.dumps(document), "utf-8")
+        assert run_worker(self._config(state_dir, service_profile_dir)) == 0
+        report = read_report(state_dir)
+        assert report["signature"] == clean
+        checkpoint = report["ledger"][CHANNEL_CHECKPOINT]
+        assert checkpoint["reasons"] == {REASON_BAD_CHECKPOINT: 1}
+        assert "version 1" in checkpoint["first"]["sample"]
 
     def test_resume_from_real_checkpoint(
         self, tmp_path, service_profile_dir, corpus, clean, context

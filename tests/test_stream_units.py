@@ -32,7 +32,11 @@ from repro.engine.matching import CoverageScorer, Matcher
 from repro.engine.merge import RunMerger
 from repro.engine.sanitize import Sanitizer
 from repro.engine.timeline import TimelineBuilder
+from repro.core.links import LinkResolver
+from repro.faults.chaos import stream_signature
+from repro import ScenarioConfig, run_scenario
 from repro.stream import checkpoint as codec
+from repro.stream.engine import StreamEngine, stream_dataset
 from repro.stream.sources import (
     ISIS_CHANNEL,
     SYSLOG_CHANNEL,
@@ -459,6 +463,83 @@ class TestCodecs:
         times = [0.1 + 0.2, 1e-17, 86400.000000001, 2**53 + 0.0]
         for t in times:
             assert json.loads(json.dumps(t)) == t
+
+
+def _reachable_failures(engine):
+    """Every failure object an engine's machines hold, with repeats."""
+    for channel in (SYSLOG_CHANNEL, ISIS_CHANNEL):
+        yield from engine.raw_failures[channel]
+        for timeline in engine.timelines[channel].values():
+            yield from timeline.emitted
+        sanitizer = engine.sanitizers[channel]
+        yield from sanitizer.report.kept
+        yield from sanitizer.report.removed_listener_overlap
+        yield from sanitizer.report.removed_unverified_long
+        yield from sanitizer.report.verified_long
+        for queue in sanitizer.held.values():
+            yield from queue
+    matcher = engine.matcher
+    for fa, fb in matcher.pairs:
+        yield fa
+        yield fb
+    yield from matcher.only_a
+    yield from matcher.only_b
+    yield from matcher.partial_a
+    yield from matcher.partial_b
+    for state in matcher.links.values():
+        yield from state.a_all
+        yield from state.b_all
+
+
+class TestFailureTable:
+    """A seed-7 stream cut mid-run: one table entry per failure object."""
+
+    @pytest.fixture(scope="class")
+    def cut(self):
+        dataset = run_scenario(ScenarioConfig(seed=7, duration_days=10.0))
+        clean = stream_dataset(dataset)
+        taken = []
+
+        def take(engine):
+            failures = list(_reachable_failures(engine))
+            distinct = len({id(failure) for failure in failures})
+            state = json.loads(json.dumps(engine.checkpoint_state()))
+            taken.append((state, len(failures), distinct))
+
+        stream_dataset(
+            dataset,
+            checkpoint_at=[clean.counters["events"] // 2],
+            on_checkpoint=take,
+        )
+        (taken,) = taken
+        return dataset, stream_signature(clean), taken
+
+    def test_table_holds_each_failure_once(self, cut):
+        _, _, (state, held, distinct) = cut
+        assert state["version"] == codec.CHECKPOINT_VERSION
+        assert held > distinct > 0  # the lists really do share objects
+        assert len(state["failures"]) == distinct
+
+    def test_restore_shares_kept_failures_across_machines(self, cut):
+        dataset, _, (state, _, _) = cut
+        engine = StreamEngine.restore(
+            state,
+            LinkResolver(dataset.inventory),
+            dataset.listener_outages,
+            dataset.tickets,
+        )
+        kept = engine.sanitizers[SYSLOG_CHANNEL].report.kept
+        assert kept
+        raw = {id(failure) for failure in engine.raw_failures[SYSLOG_CHANNEL]}
+        for failure in kept:
+            assert id(failure) in raw
+            a_all = engine.matcher.links[failure.link].a_all
+            assert any(other is failure for other in a_all)
+
+    def test_resume_from_cut_is_identical(self, cut):
+        dataset, clean, (state, _, _) = cut
+        resumed = stream_dataset(dataset, resume_state=state)
+        assert stream_signature(resumed) == clean
 
 
 class TestStreamOptions:
